@@ -52,11 +52,8 @@ fn bench_fanout(c: &mut Criterion) {
     for k in 0..SEED_KEYS {
         map.insert(k, k);
     }
-    let primary = pathcopy_server::spawn(
-        Box::new(ShardedServe::new(map)),
-        ServerConfig::with_workers(4),
-    )
-    .expect("bind ephemeral loopback port");
+    let primary = pathcopy_server::spawn(Box::new(ShardedServe::new(map)), ServerConfig::default())
+        .expect("bind ephemeral loopback port");
     let mut writer = Client::connect(primary.addr()).expect("writer");
     writer.publish().expect("seed epoch");
 
@@ -66,7 +63,7 @@ fn bench_fanout(c: &mut Criterion) {
         PushReplica::connect(primary.addr(), backend::by_name("sharded_map_8").unwrap())
             .expect("relay");
     let relay_addr = relay
-        .serve_relay(ServerConfig::with_workers(2))
+        .serve_relay(ServerConfig::default())
         .expect("serve relay");
     let mut leaf =
         PushReplica::connect(relay_addr, backend::by_name("sharded_map_8").unwrap()).expect("leaf");

@@ -45,13 +45,9 @@ fn bench_replica_sync(c: &mut Criterion) {
         for k in 0..MAP_SIZE {
             map.insert(k, k);
         }
-        // Workers bound concurrent connections (replica + writer +
-        // puller stay open at once), so give the pool headroom.
-        let server = pathcopy_server::spawn(
-            Box::new(ShardedServe::new(map)),
-            ServerConfig::with_workers(4),
-        )
-        .expect("bind ephemeral loopback port");
+        let server =
+            pathcopy_server::spawn(Box::new(ShardedServe::new(map)), ServerConfig::default())
+                .expect("bind ephemeral loopback port");
         let addr = server.addr();
 
         // Bootstrap (the O(n) transfer, byte-counted as full_bytes).
@@ -83,7 +79,7 @@ fn bench_replica_sync(c: &mut Criterion) {
         assert!(changes <= distinct.len(), "diff bounded by touched keys");
         let stats = replica.stats();
         drop(writer);
-        drop(replica); // frees their pool workers before the timing runs
+        drop(replica); // closes their connections before the timing runs
 
         // Wire-pull timings on a separate connection (both read pinned
         // feed versions, so iterations are repeatable).

@@ -39,7 +39,7 @@ fn bench_server_rtt(c: &mut Criterion) {
     for name in ["sharded_map_8", "treap_map"] {
         let server = pathcopy_server::spawn(
             backend::by_name(name).expect("registered backend"),
-            ServerConfig::with_workers(2),
+            ServerConfig::default(),
         )
         .expect("bind ephemeral loopback port");
         let mut client = Client::connect(server.addr()).expect("connect");

@@ -48,7 +48,7 @@ fn fake_request(seed: u64) -> u64 {
 fn traced_request(seed: u64, rec: &TraceRecorder, ctx: Option<&TraceContext>) -> u64 {
     let t0 = rec.begin(ctx);
     let out = fake_request(seed);
-    rec.span(ctx, Stage::QueueWait, 1, 0, t0);
+    rec.span(ctx, Stage::WriteFlush, 1, 0, t0);
     rec.span(ctx, Stage::Execute, 1, seed & 0xff, t0);
     out
 }

@@ -82,8 +82,19 @@ mod tests {
     // binaries; in unit tests these functions exercise the counter
     // plumbing, not live interception.
 
+    /// The counters are process-global and the test harness runs tests
+    /// in parallel, so every test that resets or bumps them holds this.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn counters_move_and_reset() {
+        let _counters = exclusive();
         reset();
         ALLOCATIONS.fetch_add(3, Relaxed);
         ALLOCATED_BYTES.fetch_add(100, Relaxed);
@@ -97,6 +108,7 @@ mod tests {
 
     #[test]
     fn counting_reports_delta() {
+        let _counters = exclusive();
         reset();
         let (value, allocs) = counting(|| {
             ALLOCATIONS.fetch_add(5, Relaxed);

@@ -32,16 +32,16 @@ pub use recorder::Recorder;
 
 /// The instrumented pipeline stages. Discriminants are the `stage` bytes
 /// carried by the wire protocol's `Metrics` response and must never be
-/// reused for a different meaning.
+/// reused for a different meaning. Byte 1 is retired (it named a
+/// queue-wait stage) and stays unused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Stage {
-    /// Event loop: decode→dispatch queue wait, per request tag (ns).
-    QueueWait = 1,
-    /// Worker pool: `handle_request` + encode time, per request tag (ns).
+    /// Event loop: decode→reply-encoded time, `handle_request` and the
+    /// encode included, per request tag (ns).
     Execute = 2,
-    /// Event loop: reply-ready→last-byte-written flush time, per request
-    /// tag (ns).
+    /// Event loop: reply-encoded→last-byte-written flush time, per
+    /// request tag (ns).
     WriteFlush = 3,
     /// Durable feed persister: append + fsync latency per publish (ns).
     AppendFsync = 4,
@@ -54,8 +54,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in wire-discriminant order.
-    pub const ALL: [Stage; 6] = [
-        Stage::QueueWait,
+    pub const ALL: [Stage; 5] = [
         Stage::Execute,
         Stage::WriteFlush,
         Stage::AppendFsync,
@@ -67,7 +66,6 @@ impl Stage {
     #[must_use]
     pub fn from_u8(byte: u8) -> Option<Stage> {
         match byte {
-            1 => Some(Stage::QueueWait),
             2 => Some(Stage::Execute),
             3 => Some(Stage::WriteFlush),
             4 => Some(Stage::AppendFsync),
@@ -82,7 +80,6 @@ impl Stage {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            Stage::QueueWait => "queue_wait",
             Stage::Execute => "execute",
             Stage::WriteFlush => "write_flush",
             Stage::AppendFsync => "append_fsync",
@@ -112,6 +109,7 @@ mod tests {
             assert_eq!(Stage::from_u8(stage as u8), Some(stage));
         }
         assert_eq!(Stage::from_u8(0), None);
+        assert_eq!(Stage::from_u8(1), None, "retired: never reused");
         assert_eq!(Stage::from_u8(7), None);
     }
 

@@ -7,7 +7,7 @@
 //! cargo run --release --bin loadgen -- \
 //!     --threads 8 --ops 100000 --backend sharded_map_8 \
 //!     --read-frac 0.9 --theta 0.99 --keys 65536 \
-//!     [--batch 8] [--workers 8] [--replicas 2] [--json out.jsonl] \
+//!     [--batch 8] [--replicas 2] [--json out.jsonl] \
 //!     [--log-dir /var/tmp/pathcopy-log] [--subscribe] [--relays 2] \
 //!     [--metrics] [--trace [--slow-ms t]] [--metrics-interval n]
 //! ```
@@ -44,12 +44,12 @@
 //!
 //! `--metrics` scrapes the primary's per-stage latency histograms
 //! (`Request::Metrics`) after the run and prints them in Prometheus
-//! text format: decode→dispatch queue wait, worker execute time, and
-//! reply write/flush time per request tag, plus the durable log's
+//! text format: decode→reply-encoded execute time and reply
+//! write/flush time per request tag, plus the durable log's
 //! append+fsync distribution when `--log-dir` is active. Reading the
-//! split tells you *where* a latency regression lives — queue wait
-//! rises when workers are saturated, execute time when the backend
-//! slows down, write time when replies outpace the sockets.
+//! split tells you *where* a latency regression lives — execute time
+//! rises when the backend slows down, write time when replies outpace
+//! the sockets or the loop is busy with other connections.
 //!
 //! `--subscribe` switches the replica tier from pull to **push**: each
 //! replica registers for the primary's feed and applies unsolicited
@@ -107,12 +107,6 @@ fn main() {
     let replicas: usize = args.get_or("replicas", 0);
     let relays: usize = args.get_or("relays", 0);
     let subscribe = args.has_flag("subscribe") || relays > 0;
-    // Connections are multiplexed on the server's event loop, so the
-    // worker count sizes backend execution parallelism only — standing
-    // connections (publisher, replica sync clients, idle sessions) cost
-    // no worker. Cover the driving threads, floored at the event core's
-    // sweet spot for small round trips.
-    let workers: usize = args.get_or("workers", threads.max(4));
     let prefill: u64 = args.get_or("prefill", keys / 2);
     let seed: u64 = args.get_or("seed", 42);
     let publish_ms: u64 = args.get_or("publish-ms", 2);
@@ -147,7 +141,6 @@ fn main() {
     // The queue depth must fit the pipeline window or the primary would
     // shed the tail of every full window as Busy.
     let mut config = ServerConfig::builder()
-        .workers(workers)
         .queue_depth(64.max(pipeline + 1))
         .build();
     let primary_flight = trace_on.then(|| new_flight("primary"));
@@ -205,10 +198,6 @@ fn main() {
     // The replication tier: bootstrapped replicas serving on their own
     // ports, kept fresh by per-replica sync threads while a publisher
     // advances the primary's feed.
-    // Each replica serves its share of the reader threads; size its
-    // backend workers to that share so reads execute in parallel (the
-    // event loop multiplexes the connections themselves).
-    let readers_per_replica = threads.div_ceil(replicas.max(1)) + 1;
     let mut nodes = Vec::new();
     let mut push_nodes: Vec<PushReplica> = Vec::new();
     let mut read_addrs: Vec<std::net::SocketAddr> = Vec::new();
@@ -227,7 +216,7 @@ fn main() {
                 relay.set_trace(new_flight(&format!("relay{r}")));
             }
             let relay_addr = relay
-                .serve_relay(ServerConfig::with_workers(2))
+                .serve_relay(ServerConfig::default())
                 .expect("bind relay listener");
             relay_addrs.push(relay_addr);
             trace_addrs.push(relay_addr);
@@ -245,7 +234,7 @@ fn main() {
                 leaf.set_trace(new_flight(&format!("leaf{i}")));
             }
             let leaf_addr = leaf
-                .serve_relay(ServerConfig::with_workers(readers_per_replica))
+                .serve_relay(ServerConfig::default())
                 .expect("bind replica listener");
             read_addrs.push(leaf_addr);
             trace_addrs.push(leaf_addr);
@@ -259,8 +248,7 @@ fn main() {
             );
         }
     } else {
-        nodes =
-            cluster(addr, replicas, &backend_name, readers_per_replica).expect("stand up replicas");
+        nodes = cluster(addr, replicas, &backend_name).expect("stand up replicas");
         read_addrs = nodes.iter().map(|n| n.server.addr()).collect();
         if replicas > 0 {
             println!(
@@ -541,7 +529,7 @@ fn main() {
     };
 
     println!(
-        "loadgen: backend={backend_name} threads={threads} workers={workers} ops={done_ops} \
+        "loadgen: backend={backend_name} threads={threads} ops={done_ops} \
          read_frac={read_frac:.2} zipf(n={keys}, theta={theta}) batch={batch} \
          pipeline={pipeline} replicas={replicas}"
     );

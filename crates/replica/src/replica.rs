@@ -427,11 +427,9 @@ pub struct ReplicaNode {
 /// Stands up `n` bootstrapped read replicas of the primary at `addr`,
 /// each backed by a fresh `store_backend`
 /// ([`backend::by_name`](pathcopy_server::backend::by_name) name) and
-/// serving on its own ephemeral loopback port with `workers_per_replica`
-/// backend worker threads. Connections are multiplexed on each
-/// replica's event loop, so workers size execution parallelism, not the
-/// number of standing reader connections — a modest pool serves many
-/// idle sessions.
+/// serving on its own ephemeral loopback port with the default
+/// [`ServerConfig`]. Connections are multiplexed on each replica's
+/// event loop, so many standing reader sessions cost no threads.
 ///
 /// # Errors
 ///
@@ -439,12 +437,7 @@ pub struct ReplicaNode {
 /// from connecting, bootstrapping (wrapped [`ClientError`]s), or
 /// binding a replica's listener. Replicas already stood up when an
 /// error occurs are dropped (their servers shut down).
-pub fn cluster(
-    addr: SocketAddr,
-    n: usize,
-    store_backend: &str,
-    workers_per_replica: usize,
-) -> io::Result<Vec<ReplicaNode>> {
+pub fn cluster(addr: SocketAddr, n: usize, store_backend: &str) -> io::Result<Vec<ReplicaNode>> {
     (0..n)
         .map(|_| {
             let store = pathcopy_server::backend::by_name(store_backend).ok_or_else(|| {
@@ -457,8 +450,7 @@ pub fn cluster(
             replica
                 .sync_once()
                 .map_err(|e| io::Error::other(format!("bootstrap sync: {e}")))?;
-            let server =
-                replica.serve(ServerConfig::builder().workers(workers_per_replica).build())?;
+            let server = replica.serve(ServerConfig::default())?;
             Ok(ReplicaNode { replica, server })
         })
         .collect()

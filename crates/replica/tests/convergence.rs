@@ -32,7 +32,6 @@ fn feed_server(feed_capacity: usize) -> ServerHandle {
         Box::new(ShardedServe::with_shards(8)),
         ServerConfig {
             feed_capacity,
-            workers: 2,
             ..ServerConfig::default()
         },
     )
@@ -178,7 +177,7 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
 
     let mut replica = Replica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
     replica.sync_once().unwrap();
-    let replica_server = replica.serve(ServerConfig::with_workers(2)).unwrap();
+    let replica_server = replica.serve(ServerConfig::default()).unwrap();
     let replica_addr = replica_server.addr();
 
     let done = std::sync::atomic::AtomicBool::new(false);

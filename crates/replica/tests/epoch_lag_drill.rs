@@ -21,7 +21,6 @@ fn primary_server() -> ServerHandle {
         Box::new(ShardedServe::with_shards(8)),
         ServerConfig {
             feed_capacity: 32,
-            workers: 2,
             ..ServerConfig::default()
         },
     )
@@ -63,7 +62,7 @@ fn epoch_lag_breaches_on_push_loss_and_recovers() {
 
     let mut relay = push_node(primary.addr());
     relay
-        .serve_relay(ServerConfig::with_workers(2))
+        .serve_relay(ServerConfig::default())
         .expect("bind relay listener");
     let mut leaf = push_node(relay.relay_addr().unwrap());
     let leaf_metrics = leaf.metrics();

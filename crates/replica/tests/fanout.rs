@@ -6,6 +6,7 @@
 
 use std::net::SocketAddr;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use pathcopy_replica::PushReplica;
@@ -17,7 +18,6 @@ fn primary_server() -> ServerHandle {
         Box::new(ShardedServe::with_shards(8)),
         ServerConfig {
             feed_capacity: 32,
-            workers: 2,
             ..ServerConfig::default()
         },
     )
@@ -31,7 +31,7 @@ fn push_node(addr: SocketAddr) -> PushReplica {
 
 fn relay_node(addr: SocketAddr) -> PushReplica {
     let mut node = push_node(addr);
-    node.serve_relay(ServerConfig::with_workers(2))
+    node.serve_relay(ServerConfig::default())
         .expect("bind relay listener");
     node
 }
@@ -52,6 +52,29 @@ fn pump_until(nodes: &mut [&mut PushReplica], target: u64) {
     }
     let at: Vec<u64> = nodes.iter().map(|n| n.applied_epoch()).collect();
     panic!("fan-out stalled below epoch {target}: applied = {at:?}");
+}
+
+/// Raises its flag when dropped — also while unwinding, so a panicking
+/// thread still stops the threads waiting on the flag.
+struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Pumps `node` until `stop` is raised. `Disconnected` ends the loop
+/// only once `done` is raised too: before that, an upstream going away
+/// is a failure, not teardown.
+fn pump_until_stopped(node: &mut PushReplica, stop: &AtomicBool, done: &AtomicBool, name: &str) {
+    while !stop.load(Ordering::Acquire) {
+        match node.pump(Duration::from_millis(5)) {
+            Ok(_) => {}
+            Err(ClientError::Disconnected) if done.load(Ordering::Acquire) => return,
+            Err(e) => panic!("{name} pump: {e}"),
+        }
+    }
 }
 
 fn state_of(node: &PushReplica) -> Vec<(i64, i64)> {
@@ -135,12 +158,19 @@ fn primary_egress_is_independent_of_leaf_count() {
 
     // Identically-shaped write rounds so the egress comparison is exact:
     // same keys, fixed-width values, same diff shape every round.
+    // Egress is read from a `Gauges` reply: the primary's loop counts
+    // a frame's bytes right after handing them to the kernel, so a
+    // relay may apply a push before its bytes are counted. The loop
+    // answers the writer's `Gauges` only after that, so the gauge is a
+    // quiescent reading. (Each phase spans one fixed-size `Gauges`
+    // reply, the same in both.)
+    let egress = |writer: &mut Client| writer.gauges().expect("gauges").wire_sent;
     let measure = |writer: &mut Client,
                    r1: &mut PushReplica,
                    r2: &mut PushReplica,
                    leaves: &mut [PushReplica],
                    base: i64| {
-        let before = primary.wire_bytes().sent;
+        let before = egress(writer);
         for round in 0..4i64 {
             for k in 0..8i64 {
                 writer.insert(k, base + round * 8 + k).unwrap();
@@ -152,7 +182,7 @@ fn primary_egress_is_independent_of_leaf_count() {
             nodes.extend(leaves.iter_mut());
             pump_until(&mut nodes, epoch);
         }
-        primary.wire_bytes().sent - before
+        egress(writer) - before
     };
 
     // Phase A: two leaves.
@@ -197,29 +227,31 @@ fn session_token_reads_your_writes_through_a_leaf() {
     let mut leaf = relay_node(relay.relay_addr().unwrap());
     let leaf_addr = leaf.relay_addr().unwrap();
 
-    let done = std::sync::atomic::AtomicBool::new(false);
+    // `done` ends the test's threads; `leaf_stopped` makes the relay
+    // outlive the leaf, so the leaf never sees its upstream vanish.
+    let done = AtomicBool::new(false);
+    let leaf_stopped = AtomicBool::new(false);
     std::thread::scope(|s| {
-        let done_ref = &done;
+        let (done, leaf_stopped) = (&done, &leaf_stopped);
+        // Raised however the main thread leaves this scope, a panic
+        // included, so the churn thread cannot publish forever.
+        let _done = RaiseOnDrop(done);
         // Concurrent writers churning other keys and publishing.
         s.spawn(move || {
             let mut churn = Client::connect(primary_addr).unwrap();
             let mut round = 0i64;
-            while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
+            while !done.load(Ordering::Acquire) {
                 round += 1;
                 churn.insert(-round, round).unwrap();
                 churn.publish().unwrap();
             }
         });
-        // The pump threads keeping the chain flowing.
+        // The pump threads keeping the chain flowing: the leaf stops
+        // first, then the relay.
+        s.spawn(move || pump_until_stopped(&mut relay, leaf_stopped, done, "relay"));
         s.spawn(move || {
-            while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
-                relay.pump(Duration::from_millis(5)).expect("relay pump");
-            }
-        });
-        s.spawn(move || {
-            while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
-                leaf.pump(Duration::from_millis(5)).expect("leaf pump");
-            }
+            let _stopped = RaiseOnDrop(leaf_stopped);
+            pump_until_stopped(&mut leaf, done, done, "leaf");
         });
 
         // The session under test: write to the primary, read through
@@ -259,7 +291,6 @@ fn session_token_reads_your_writes_through_a_leaf() {
             assert!(token.epoch() >= last_served, "token went backwards");
             last_served = token.epoch();
         }
-        done.store(true, std::sync::atomic::Ordering::Release);
     });
     primary.shutdown();
 }

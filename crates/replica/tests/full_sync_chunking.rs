@@ -26,11 +26,8 @@ fn bootstrap_of_a_map_larger_than_one_frame_never_trips_the_cap() {
     for k in 0..MAP_SIZE {
         map.insert(k, k);
     }
-    let server = pathcopy_server::spawn(
-        Box::new(ShardedServe::new(map)),
-        ServerConfig::with_workers(2),
-    )
-    .expect("bind ephemeral loopback port");
+    let server = pathcopy_server::spawn(Box::new(ShardedServe::new(map)), ServerConfig::default())
+        .expect("bind ephemeral loopback port");
     let mut c = Client::connect(server.addr()).unwrap();
 
     if (MAP_SIZE as u64) * 16 > MAX_FRAME_LEN as u64 {

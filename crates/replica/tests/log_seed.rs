@@ -32,10 +32,6 @@ fn logged_server(dir: &std::path::Path) -> (ServerHandle, Arc<EpochLog>) {
     let server = pathcopy_server::spawn(
         Box::new(ShardedServe::with_shards(8)),
         ServerConfig {
-            // The refusal test below holds four connections at once
-            // (writer + three replicas); a worker serves one connection
-            // for its lifetime, so the pool must cover all of them.
-            workers: 4,
             feed_sink: Some(persister as Arc<dyn FeedSink>),
             ..ServerConfig::default()
         },

@@ -84,7 +84,7 @@ proptest! {
     ) {
         let primary = pathcopy_server::spawn(
             Box::new(ShardedServe::with_shards(8)),
-            ServerConfig { feed_capacity: 4, workers: 2, ..ServerConfig::default() },
+            ServerConfig { feed_capacity: 4, ..ServerConfig::default() },
         ).expect("bind primary");
         // The tiny feed ring makes injected loss regularly outrun
         // retention, so catch-up exercises the full-resync path too.
@@ -107,7 +107,7 @@ proptest! {
                 upstream,
                 backend::by_name("sharded_map_8").unwrap(),
             ).expect("connect chain node");
-            upstream = node.serve_relay(ServerConfig::with_workers(2)).expect("serve relay");
+            upstream = node.serve_relay(ServerConfig::default()).expect("serve relay");
             chain.push(node);
         }
         let mut reader = Client::connect(upstream).unwrap();

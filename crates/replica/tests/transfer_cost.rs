@@ -17,11 +17,8 @@ fn diff_catch_up_moves_asymptotically_fewer_bytes_than_full_sync() {
     for k in 0..MAP_SIZE {
         map.insert(k, k);
     }
-    let server = pathcopy_server::spawn(
-        Box::new(ShardedServe::new(map)),
-        ServerConfig::with_workers(2),
-    )
-    .expect("bind ephemeral loopback port");
+    let server = pathcopy_server::spawn(Box::new(ShardedServe::new(map)), ServerConfig::default())
+        .expect("bind ephemeral loopback port");
     let addr = server.addr();
 
     // Bootstrap a replica: this is the O(n) full transfer.

@@ -771,7 +771,7 @@ impl Client {
 
     /// [`publish`](Self::publish) with a trace context stamped on the
     /// request: a tracing server records the publish's whole causal
-    /// fan-out — queue wait, execute, durable append, push delivery,
+    /// fan-out — execute, durable append, push delivery,
     /// relay re-serve — under `ctx.trace_id`, across every node the
     /// epoch reaches. Collect the spans with
     /// [`trace_dump`](Self::trace_dump) per node and stitch them with

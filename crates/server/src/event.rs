@@ -1,43 +1,50 @@
-//! The readiness-driven server core: one event-loop thread multiplexing
-//! every connection, with the [`ThreadPool`](crate::pool::ThreadPool)
-//! demoted from "one worker per connection" to what it should have been
-//! all along — an execution stage for backend work.
+//! The readiness-driven server core: one event-loop thread that owns
+//! every connection and runs every request to completion.
 //!
-//! The old core parked one pool worker in a blocking read per
-//! connection, so concurrent connections were capped at the worker
-//! count. Here the loop owns every socket nonblockingly:
+//! The engine's operations never block — a read is one root load, an
+//! update is a path copy plus a CAS retry — so handing one to another
+//! thread and its reply back would cost more than the work itself. The
+//! loop therefore does everything:
 //!
 //! * **accepts** are drained in bursts (at most
 //!   [`Tunables::backlog`] per readiness wake) and refused above
 //!   [`Tunables::max_conns`];
 //! * **reads** append to a per-connection buffer that is parsed into
-//!   whole frames; each decoded request is dispatched to the pool,
-//!   which computes the reply and encodes it off the loop thread;
-//! * **completions** return through a queue + self-wake pipe (a
-//!   `UnixStream` pair — `std` has no portable pipe) and are appended
-//!   to the connection's write queue;
-//! * **writes** drain the queue with vectored writes, so replies that
-//!   piled up while the socket was busy leave in one syscall;
+//!   whole frames; each decoded request is executed on the spot and its
+//!   encoded reply appended to the connection's write queue;
+//! * **writes** drain the queue with vectored writes, so the replies to
+//!   one read burst leave together in one syscall;
+//! * **parked reads**: a [`Request::GetAt`] whose watermark is not yet
+//!   published waits on the loop — never on a thread — until a publish
+//!   wakes it or its deadline (clamped to [`GET_AT_MAX_WAIT`]) answers
+//!   it [`WireError::Stale`];
 //! * **admission control** sheds any request that would put a
 //!   connection past [`Tunables::queue_depth`] in-flight requests with
-//!   an immediate [`WireError::Busy`] carrying the bound — the client
-//!   sees backpressure instead of unbounded server-side queueing.
+//!   an immediate [`WireError::Busy`] carrying the bound. A request is
+//!   in flight from decode until its reply is handed to the kernel, and
+//!   a parked read counts.
 //!
-//! Because requests from one connection run on a pool of workers,
-//! pipelined requests may complete **out of order**; each reply's
-//! envelope echoes its request id (see [`crate::proto`]), which is the
-//! whole point of the v3 envelope. An idle connection costs one fd and
-//! a couple of buffers — no thread — which is what lets the server
-//! hold thousands of mostly-idle subscribers.
+//! Other threads reach the loop through the [`PushHub`]: a queue plus
+//! the write end of a self-wake pipe (a `UnixStream` pair — `std` has
+//! no portable pipe). It carries push frames posted by publishes on
+//! other threads, wake-ups for parked reads, and shutdown.
+//!
+//! A panicking handler is caught per request and answered with
+//! [`WireError::Internal`]; the connection and the loop keep serving.
+//! Replies echo their request id (see [`crate::proto`]), so a parked
+//! read may be answered after requests pipelined behind it. An idle
+//! connection costs one fd and a couple of buffers — no thread — which
+//! is what lets the server hold thousands of mostly-idle subscribers.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use pathcopy_core::DiffEntry;
@@ -47,7 +54,6 @@ use pathcopy_trace::TraceContext;
 use crate::backend::ServeSnapshot;
 use crate::feed::EpochFanout;
 use crate::poll::{Interest, PollEvent, Poller};
-use crate::pool::ThreadPool;
 use crate::proto::{
     response_frame, response_frame_traced, Epoch, Request, RequestId, Response, WireError,
     MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_V2, PROTO_VERSION, PUSH_ID_BASE,
@@ -71,101 +77,43 @@ const MAX_IOVECS: usize = 64;
 /// (or timeout), catches up via `PullDiff`, and resubscribes.
 const PUSH_OUTQ_MAX: usize = 32;
 
+/// Longest a [`Request::GetAt`] may stay parked, whatever its
+/// `wait_ms` asks for.
+const GET_AT_MAX_WAIT: Duration = Duration::from_millis(1000);
+
 /// Event-core knobs, split out of `ServerConfig` by `spawn`.
 pub(crate) struct Tunables {
     /// Max accepts drained per listener readiness wake.
     pub(crate) backlog: usize,
     /// Max simultaneous connections; accepts beyond it are refused.
     pub(crate) max_conns: usize,
-    /// Max in-flight (dispatched, not yet answered) requests per
+    /// Max in-flight (decoded, reply not yet written) requests per
     /// connection before shedding with [`WireError::Busy`].
     pub(crate) queue_depth: usize,
 }
 
-/// A finished request on its way back from a pool worker: the
-/// connection it belongs to and the fully encoded reply frame.
-struct Completion {
+/// A push frame posted for one subscriber connection.
+struct PushFrame {
     conn: u64,
     frame: Vec<u8>,
-    /// Server-initiated push frame: answers no request, so it neither
-    /// decrements the connection's in-flight count nor bypasses the
-    /// subscriber backpressure bound ([`PUSH_OUTQ_MAX`]).
-    push: bool,
-    /// Write/flush stage tracing: the request tag and the moment the
-    /// encoded reply left its worker. `None` when metrics are disabled
-    /// or the frame is not a traced reply.
-    timing: Option<(u8, Instant)>,
-    /// Span breadcrumb for a request carrying a trace context; closes
-    /// the write/flush span (and judges the request slow) when the
-    /// frame's last byte reaches the kernel.
-    trace: Option<TraceOut>,
 }
 
-/// Trace breadcrumb riding a reply frame through the completion queue
-/// to the flush stage: enough to close the per-request write/flush
-/// span and decide whether the whole request breached `slow_ms`.
-#[derive(Clone, Copy)]
-struct TraceOut {
-    /// The request's incoming context (write/flush is a sibling of
-    /// queue-wait and execute under the same upstream parent).
-    ctx: TraceContext,
-    /// When the decoded request was accepted off the wire — the
-    /// request's end-to-end anchor on this node.
-    accepted: Instant,
-    /// When the encoded reply left its worker: the write span's start.
-    write_start: Instant,
-    /// Request tag byte, for the span's `tag` field.
-    tag: u8,
-    /// Epoch the reply names (publish/write-at), `0` otherwise.
-    epoch: u64,
-}
-
-/// The worker→loop return path: a queue plus the write end of the
-/// self-wake pipe, poked once per empty→non-empty transition.
-pub(crate) struct Completions {
-    queue: Mutex<VecDeque<Completion>>,
-    wake_tx: UnixStream,
-}
-
-impl Completions {
-    pub(crate) fn new(wake_tx: UnixStream) -> Self {
-        Completions {
-            queue: Mutex::new(VecDeque::new()),
-            wake_tx,
-        }
-    }
-
-    fn push(&self, completion: Completion) {
-        let was_empty = {
-            let mut queue = self.queue.lock();
-            let was_empty = queue.is_empty();
-            queue.push_back(completion);
-            was_empty
-        };
-        // One wake byte per transition keeps the pipe from filling
-        // under load; a WouldBlock here means wakes are already
-        // pending, which serves the same purpose. Invariant: a
-        // non-empty queue always has an unconsumed wake byte (or a
-        // drain already in progress), so no completion is stranded.
-        if was_empty {
-            let _ = (&self.wake_tx).write(&[1u8]);
-        }
-    }
-
-    fn drain(&self) -> VecDeque<Completion> {
-        std::mem::take(&mut *self.queue.lock())
-    }
-}
-
-/// The push fan-out: the set of connections registered with
-/// `SubscribePush`, fed by the feed's [`EpochFanout`] hook. Each
-/// published epoch's diff is encoded **once** and a clone of the frame
-/// is enqueued per subscriber through the normal completion path, so
-/// pushes ride the same queue + self-wake machinery replies do and the
-/// loop thread stays the only writer of any socket.
+/// The way into the loop from other threads, and the push fan-out.
+///
+/// Subscribers are the connections registered with `SubscribePush`;
+/// the feed's [`EpochFanout`] hook encodes each published epoch's diff
+/// **once** and queues a clone of the frame per subscriber, so the loop
+/// stays the only writer of any socket. The same hook pokes the
+/// self-wake pipe while any `GetAt` is parked, so a publish on another
+/// thread (a relay's pump) answers the reads waiting for it.
 pub(crate) struct PushHub {
     subs: Mutex<HashSet<u64>>,
-    completions: Arc<Completions>,
+    queue: Mutex<Vec<PushFrame>>,
+    wake_tx: UnixStream,
+    /// Parked `GetAt`s, counted by the loop *before* it reads the feed
+    /// head: a publish landing between that read and the park then
+    /// sees a waiter and wakes the loop.
+    parked: AtomicUsize,
     /// Push frames enqueued to subscribers, ever.
     pub(crate) pushes: AtomicU64,
     /// Subscribers demoted for a full outbox, ever.
@@ -173,13 +121,41 @@ pub(crate) struct PushHub {
 }
 
 impl PushHub {
-    pub(crate) fn new(completions: Arc<Completions>) -> Self {
+    pub(crate) fn new(wake_tx: UnixStream) -> Self {
         PushHub {
             subs: Mutex::new(HashSet::new()),
-            completions,
+            queue: Mutex::new(Vec::new()),
+            wake_tx,
+            parked: AtomicUsize::new(0),
             pushes: AtomicU64::new(0),
             demotions: AtomicU64::new(0),
         }
+    }
+
+    /// Returns the loop from its poll. A `WouldBlock` means wake bytes
+    /// are already pending, which serves the same purpose.
+    pub(crate) fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1u8]);
+    }
+
+    fn post(&self, conn: u64, frame: Vec<u8>) {
+        let was_empty = {
+            let mut queue = self.queue.lock();
+            let was_empty = queue.is_empty();
+            queue.push(PushFrame { conn, frame });
+            was_empty
+        };
+        // One wake byte per empty→non-empty transition keeps the pipe
+        // from filling under load. Invariant: a non-empty queue always
+        // has an unconsumed wake byte (or a drain already in progress),
+        // so no frame is stranded.
+        if was_empty {
+            self.wake();
+        }
+    }
+
+    fn drain(&self) -> Vec<PushFrame> {
+        std::mem::take(&mut *self.queue.lock())
     }
 
     fn register(&self, conn: u64) {
@@ -221,6 +197,11 @@ impl EpochFanout for PushHub {
         snap: &Arc<dyn ServeSnapshot>,
         trace: Option<&TraceContext>,
     ) {
+        // The epoch is already in the ring: a parked read woken now
+        // finds it.
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            self.wake();
+        }
         let subs: Vec<u64> = self.subs.lock().iter().copied().collect();
         if subs.is_empty() {
             return;
@@ -258,36 +239,60 @@ impl EpochFanout for PushHub {
         let frame = response_frame_traced(&resp, PROTO_VERSION, PUSH_ID_BASE | epoch, trace);
         for conn in subs {
             self.pushes.fetch_add(1, Ordering::Relaxed);
-            self.completions.push(Completion {
-                conn,
-                frame: frame.clone(),
-                push: true,
-                timing: None,
-                trace: None,
-            });
+            self.post(conn, frame.clone());
         }
     }
 }
 
-/// One encoded frame on a connection's write queue, with the tracing
-/// breadcrumb needed to close out the write/flush stage when its last
-/// byte reaches the kernel.
+/// An admitted request's envelope and stage clock: what the loop needs
+/// to encode its reply and close its execute and write/flush stages.
+struct Admitted {
+    version: u8,
+    request_id: RequestId,
+    tag: u8,
+    /// When the request was decoded. `None` unless metrics are on or
+    /// the request is traced, so the untraced, unmetered path reads no
+    /// clock.
+    started: Option<Instant>,
+    /// The request's trace context and its pre-allocated execute span
+    /// id, when it arrived traced and a flight recorder is configured.
+    trace: Option<(TraceContext, u64)>,
+}
+
+/// A `GetAt` waiting on the loop for its watermark to be published.
+struct Parked {
+    conn: u64,
+    req: Request,
+    min_epoch: Epoch,
+    deadline: Instant,
+    admitted: Admitted,
+}
+
+/// Closes out the write/flush stage of one reply when its last byte
+/// reaches the kernel.
+struct Reply {
+    tag: u8,
+    /// As [`Admitted::started`]: the request's anchor on this node.
+    started: Option<Instant>,
+    /// When the reply was encoded: the write/flush stage's start.
+    encoded: Option<Instant>,
+    /// Trace context and the epoch the reply names, for the span.
+    trace: Option<(TraceContext, u64)>,
+}
+
+/// One encoded frame on a connection's write queue.
 struct OutFrame {
     bytes: Vec<u8>,
-    /// As [`Completion::timing`].
-    timing: Option<(u8, Instant)>,
-    /// As [`Completion::trace`].
-    trace: Option<TraceOut>,
+    /// Set on the reply to an admitted request, which leaves the
+    /// connection's in-flight count when this frame is written.
+    /// `None` for frames that answer no admitted request (shed and
+    /// framing errors, acks, pushes).
+    reply: Option<Reply>,
 }
 
 impl OutFrame {
-    /// A frame outside the traced request path (errors, acks, pushes).
-    fn untimed(bytes: Vec<u8>) -> Self {
-        OutFrame {
-            bytes,
-            timing: None,
-            trace: None,
-        }
+    fn plain(bytes: Vec<u8>) -> Self {
+        OutFrame { bytes, reply: None }
     }
 }
 
@@ -296,12 +301,12 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet parsed into whole frames.
     rbuf: Vec<u8>,
-    /// Encoded reply frames awaiting the socket; the front one may be
+    /// Encoded frames awaiting the socket; the front one may be
     /// partially written (`out_off` bytes already gone).
     outq: VecDeque<OutFrame>,
     out_off: usize,
-    /// Dispatched requests not yet answered — the admission-control
-    /// counter.
+    /// Admitted requests whose reply has not been written yet, parked
+    /// reads included — the admission-control counter.
     in_flight: usize,
     /// No more reads (peer half-closed, or inbound framing is broken);
     /// the connection closes once everything pending has been written.
@@ -332,17 +337,14 @@ impl Conn {
 /// The loop itself; constructed by `spawn`, consumed by [`run`](Self::run)
 /// on its own thread.
 pub(crate) struct EventLoop {
-    // Declared first so its drop joins the workers while the wake pipe
-    // and completion queue are still alive for their final pushes.
-    pool: ThreadPool,
     listener: TcpListener,
     wake_rx: UnixStream,
     poller: Poller,
     shared: Arc<Shared>,
-    completions: Arc<Completions>,
     tunables: Tunables,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    parked: Vec<Parked>,
 }
 
 impl EventLoop {
@@ -350,8 +352,6 @@ impl EventLoop {
         listener: TcpListener,
         wake_rx: UnixStream,
         shared: Arc<Shared>,
-        completions: Arc<Completions>,
-        workers: usize,
         tunables: Tunables,
     ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
@@ -360,30 +360,33 @@ impl EventLoop {
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
         Ok(EventLoop {
-            pool: ThreadPool::new(workers),
             listener,
             wake_rx,
             poller,
             shared,
-            completions,
             tunables,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
+            parked: Vec::new(),
         })
     }
 
     /// Serves until the shared stop flag is raised (and a wake byte
-    /// lands). Teardown is deterministic: dropping `self` closes every
-    /// connection socket and joins the pool, whose queued jobs push
-    /// their final completions into a queue nobody reads again.
+    /// lands). The flag is checked before every wait, not after it: a
+    /// wake-byte drain may swallow the shutdown byte along with others.
+    /// Teardown is deterministic: dropping `self` closes every
+    /// connection socket; parked reads go unanswered with them.
     pub(crate) fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::with_capacity(256);
-        loop {
+        while !self.shared.stop.load(Ordering::SeqCst) {
             events.clear();
-            if self.poller.wait(&mut events).is_err() {
-                return;
-            }
-            if self.shared.stop.load(Ordering::SeqCst) {
+            let timeout = self
+                .parked
+                .iter()
+                .map(|p| p.deadline)
+                .min()
+                .map(|d| d.saturating_duration_since(Instant::now()));
+            if self.poller.wait(&mut events, timeout).is_err() {
                 return;
             }
             for ev in events.drain(..) {
@@ -393,7 +396,8 @@ impl EventLoop {
                     token => self.conn_event(token, ev.readable, ev.writable),
                 }
             }
-            self.apply_completions();
+            self.apply_pushes();
+            self.answer_parked();
         }
     }
 
@@ -443,41 +447,75 @@ impl EventLoop {
         }
     }
 
-    /// Moves finished replies from the completion queue onto their
-    /// connections' write queues, then tries to flush those
-    /// connections immediately — under light load a reply leaves in
-    /// the same loop iteration its work finished.
-    fn apply_completions(&mut self) {
-        let batch = self.completions.drain();
+    /// Moves posted push frames onto their subscribers' write queues,
+    /// then flushes those connections.
+    fn apply_pushes(&mut self) {
+        let batch = self.shared.push.drain();
         if batch.is_empty() {
             return;
         }
         let mut touched: Vec<u64> = Vec::with_capacity(batch.len());
-        for completion in batch {
-            // A completion may outlive its connection (peer vanished
-            // while the request ran); it is dropped here.
-            if let Some(conn) = self.conns.get_mut(&completion.conn) {
-                if completion.push {
-                    // Backpressure: a subscriber that cannot drain its
-                    // queue is demoted instead of buffered forever.
-                    if conn.outq.len() >= PUSH_OUTQ_MAX || conn.closing {
-                        self.shared.push.demote(completion.conn);
-                        continue;
-                    }
-                } else {
-                    conn.in_flight = conn.in_flight.saturating_sub(1);
-                }
-                conn.outq.push_back(OutFrame {
-                    bytes: completion.frame,
-                    timing: completion.timing,
-                    trace: completion.trace,
-                });
-                touched.push(completion.conn);
+        for push in batch {
+            // A push may outlive its connection; it is dropped here.
+            let Some(mut conn) = self.conns.remove(&push.conn) else {
+                continue;
+            };
+            // Backpressure: a subscriber whose socket will not take a
+            // full outbox is demoted instead of buffered forever. A
+            // burst of pushes queued while the loop was busy is not
+            // backpressure, so the outbox is flushed before it is
+            // judged.
+            if conn.outq.len() >= PUSH_OUTQ_MAX {
+                self.flush(&mut conn);
+            }
+            if conn.outq.len() >= PUSH_OUTQ_MAX || conn.closing {
+                self.shared.push.demote(push.conn);
+            } else {
+                conn.outq.push_back(OutFrame::plain(push.frame));
+                touched.push(push.conn);
+            }
+            self.conns.insert(push.conn, conn);
+        }
+        self.settle_all(touched);
+    }
+
+    /// Answers every parked read whose watermark is now published
+    /// (with the value) or whose deadline has passed (with
+    /// [`WireError::Stale`]), and drops those whose connection is gone.
+    fn answer_parked(&mut self) {
+        if self.parked.is_empty() {
+            return;
+        }
+        let head = self.shared.feed.info().head;
+        let now = Instant::now();
+        let mut touched = Vec::new();
+        let mut still = Vec::with_capacity(self.parked.len());
+        for p in std::mem::take(&mut self.parked) {
+            let gone = !self.conns.contains_key(&p.conn);
+            if !gone && head < p.min_epoch && now < p.deadline {
+                still.push(p);
+                continue;
+            }
+            self.shared.push.parked.fetch_sub(1, Ordering::SeqCst);
+            if gone {
+                continue;
+            }
+            // The handler reads the head again and answers `GotAt` or
+            // `Stale(head)`.
+            let frame = self.execute(p.req, p.admitted);
+            if let Some(conn) = self.conns.get_mut(&p.conn) {
+                conn.outq.push_back(frame);
+                touched.push(p.conn);
             }
         }
-        touched.sort_unstable();
-        touched.dedup();
-        for token in touched {
+        self.parked = still;
+        self.settle_all(touched);
+    }
+
+    fn settle_all(&mut self, mut tokens: Vec<u64>) {
+        tokens.sort_unstable();
+        tokens.dedup();
+        for token in tokens {
             if let Some(conn) = self.conns.remove(&token) {
                 self.settle(token, conn, true);
             }
@@ -581,7 +619,7 @@ impl EventLoop {
                 // The length prefix itself is broken: no envelope to
                 // echo, answer in the peer's last-known dialect and
                 // stop trusting the stream.
-                conn.outq.push_back(OutFrame::untimed(response_frame(
+                conn.outq.push_back(OutFrame::plain(response_frame(
                     &Response::Error(WireError::Malformed),
                     conn.last_version,
                     0,
@@ -608,7 +646,7 @@ impl EventLoop {
                     );
                 }
                 Err(_) => {
-                    conn.outq.push_back(OutFrame::untimed(response_frame(
+                    conn.outq.push_back(OutFrame::plain(response_frame(
                         &Response::Error(WireError::Malformed),
                         version,
                         request_id,
@@ -625,9 +663,8 @@ impl EventLoop {
         }
     }
 
-    /// Admission control, then hand the request to the pool. The reply
-    /// frame is encoded on the worker (parallel across requests) and
-    /// returns through the completion queue.
+    /// Admission control, then run the request to completion — or park
+    /// it, for a `GetAt` whose watermark is not yet published.
     fn dispatch(
         &mut self,
         token: u64,
@@ -644,7 +681,7 @@ impl EventLoop {
         let depth = self.tunables.queue_depth.max(1);
         if conn.in_flight >= depth {
             self.shared.shed.fetch_add(1, Ordering::Relaxed);
-            conn.outq.push_back(OutFrame::untimed(response_frame(
+            conn.outq.push_back(OutFrame::plain(response_frame(
                 &Response::Error(WireError::Busy(depth as u64)),
                 version,
                 request_id,
@@ -652,78 +689,97 @@ impl EventLoop {
             return;
         }
         conn.in_flight += 1;
-        // Stage tracing: `begin` reads the clock only when metrics are
-        // enabled, the worker closes out queue-wait when it starts and
-        // execute when the reply is encoded, and `flush` closes out the
-        // write stage when the frame's last byte reaches the kernel.
-        let queued_at = self.shared.metrics.begin();
-        // Span tracing mirrors the same three stages but only for
-        // requests that arrived with a trace context; `begin` is
-        // branch-only otherwise.
-        let accepted = self.shared.trace.begin(trace.as_ref());
-        let tag = req.tag_byte();
-        let shared = Arc::clone(&self.shared);
-        let completions = Arc::clone(&self.completions);
-        self.pool.execute(move || {
-            let trace_id = trace.as_ref().map_or(0, |c| c.trace_id);
-            let exec_start = shared
-                .metrics
-                .queue_wait(tag)
-                .lap_tagged(queued_at, request_id, trace_id);
-            // Close the queue-wait span and pre-allocate the execute
-            // span's id: `handle_request` gets a child context carrying
-            // that id, so downstream stages this request triggers
-            // (durable append, push fan-out, relay apply) parent under
-            // the execute span before it has even closed.
-            let mut exec_span = 0u64;
-            let mut child = None;
-            let span_start = match (shared.trace.flight(), trace.as_ref(), accepted) {
-                (Some(flight), Some(ctx), Some(t0)) => {
-                    let now = Instant::now();
-                    flight.span(ctx, Stage::QueueWait, tag, 0, t0, now);
-                    exec_span = flight.next_span_id();
-                    child = Some(ctx.child(exec_span));
-                    Some(now)
-                }
-                _ => None,
-            };
-            let resp = handle_request(&shared, req, child.as_ref());
-            let epoch = response_epoch(&resp);
-            let frame = response_frame(&resp, version, request_id);
-            let write_start = shared
-                .metrics
-                .execute(tag)
-                .lap_tagged(exec_start, request_id, trace_id);
-            let trace_out = match (shared.trace.flight(), trace.as_ref(), accepted, span_start) {
-                (Some(flight), Some(ctx), Some(t_acc), Some(t0)) => {
-                    let now = Instant::now();
-                    flight.span_with_id(exec_span, ctx, Stage::Execute, tag, epoch, t0, now);
-                    Some(TraceOut {
-                        ctx: *ctx,
-                        accepted: t_acc,
-                        write_start: now,
-                        tag,
-                        epoch,
-                    })
-                }
-                _ => None,
-            };
-            completions.push(Completion {
-                conn: token,
-                frame,
-                push: false,
-                timing: write_start.map(|t| (tag, t)),
-                trace: trace_out,
-            });
-        });
+        // Both `begin`s are branch-only when off, so an unmetered,
+        // untraced request reads no clock.
+        let started = self
+            .shared
+            .metrics
+            .begin()
+            .or_else(|| self.shared.trace.begin(trace.as_ref()));
+        // The execute span's id is allocated up front: `handle_request`
+        // gets a child context carrying it, so downstream stages this
+        // request triggers (durable append, push fan-out, relay apply)
+        // parent under the execute span before it has closed.
+        let trace = match (self.shared.trace.flight(), trace) {
+            (Some(flight), Some(ctx)) => Some((ctx, flight.next_span_id())),
+            _ => None,
+        };
+        let admitted = Admitted {
+            version,
+            request_id,
+            tag: req.tag_byte(),
+            started,
+            trace,
+        };
+        if let Request::GetAt {
+            min_epoch, wait_ms, ..
+        } = req
+        {
+            // Count the waiter before reading the head; see
+            // `PushHub::parked`.
+            self.shared.push.parked.fetch_add(1, Ordering::SeqCst);
+            if wait_ms > 0 && self.shared.feed.info().head < min_epoch {
+                let wait = Duration::from_millis(u64::from(wait_ms)).min(GET_AT_MAX_WAIT);
+                self.parked.push(Parked {
+                    conn: token,
+                    req,
+                    min_epoch,
+                    deadline: Instant::now() + wait,
+                    admitted,
+                });
+                return;
+            }
+            self.shared.push.parked.fetch_sub(1, Ordering::SeqCst);
+        }
+        let frame = self.execute(req, admitted);
+        conn.outq.push_back(frame);
     }
 
-    /// Registers a connection for push delivery. Runs inline on the
-    /// loop thread — it must, because registration has to be ordered
+    /// Runs the handler, turning a panic into [`WireError::Internal`],
+    /// and encodes the reply; closes the execute stage.
+    fn execute(&self, req: Request, admitted: Admitted) -> OutFrame {
+        let Admitted {
+            version,
+            request_id,
+            tag,
+            started,
+            trace,
+        } = admitted;
+        let child = trace.map(|(ctx, span)| ctx.child(span));
+        let resp = catch_unwind(AssertUnwindSafe(|| {
+            handle_request(&self.shared, req, child.as_ref())
+        }))
+        .unwrap_or(Response::Error(WireError::Internal));
+        let epoch = response_epoch(&resp);
+        let bytes = response_frame(&resp, version, request_id);
+        let trace_id = trace.map_or(0, |(ctx, _)| ctx.trace_id);
+        let encoded = self
+            .shared
+            .metrics
+            .execute(tag)
+            .lap_tagged(started, request_id, trace_id)
+            .or_else(|| started.map(|_| Instant::now()));
+        if let (Some(flight), Some((ctx, span)), Some(t0), Some(t1)) =
+            (self.shared.trace.flight(), trace, started, encoded)
+        {
+            flight.span_with_id(span, &ctx, Stage::Execute, tag, epoch, t0, t1);
+        }
+        OutFrame {
+            bytes,
+            reply: Some(Reply {
+                tag,
+                started,
+                encoded,
+                trace: trace.map(|(ctx, _)| (ctx, epoch)),
+            }),
+        }
+    }
+
+    /// Registers a connection for push delivery. It runs here rather
+    /// than in the handler because registration has to be ordered
     /// against the fan-out: the ack and any catch-up frame are queued
     /// *before* the first live push for this connection can land (live
-    /// pushes travel the completion queue, which is drained after
-    /// dispatch).
+    /// pushes travel the hub's queue, which is drained after dispatch).
     fn subscribe_push(
         &mut self,
         token: u64,
@@ -734,7 +790,7 @@ impl EventLoop {
     ) {
         if version == PROTO_V2 {
             // A v2 peer cannot tell an unsolicited frame from a reply.
-            conn.outq.push_back(OutFrame::untimed(response_frame(
+            conn.outq.push_back(OutFrame::plain(response_frame(
                 &Response::Error(WireError::Malformed),
                 version,
                 request_id,
@@ -744,7 +800,7 @@ impl EventLoop {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         self.shared.push.register(token);
         let info = self.shared.feed.info();
-        conn.outq.push_back(OutFrame::untimed(response_frame(
+        conn.outq.push_back(OutFrame::plain(response_frame(
             &Response::SubscribeAck(info),
             version,
             request_id,
@@ -764,7 +820,7 @@ impl EventLoop {
         if let Some(entries) = from_snap.diff(head_snap.as_ref()) {
             if entries.len() as u64 * 17 <= MAX_FRAME_LEN as u64 {
                 self.shared.push.pushes.fetch_add(1, Ordering::Relaxed);
-                conn.outq.push_back(OutFrame::untimed(response_frame(
+                conn.outq.push_back(OutFrame::plain(response_frame(
                     &Response::Push {
                         from,
                         epoch: head,
@@ -801,39 +857,9 @@ impl EventLoop {
                             n -= front_left;
                             let done = conn.outq.pop_front().expect("front exists");
                             conn.out_off = 0;
-                            // Close out the write/flush stage: reply
-                            // encoded on its worker → last byte handed
-                            // to the kernel (queueing behind the socket
-                            // included, by design).
-                            if let Some(t) = done.trace {
-                                if let Some(flight) = self.shared.trace.flight() {
-                                    let now = Instant::now();
-                                    flight.span(
-                                        &t.ctx,
-                                        Stage::WriteFlush,
-                                        t.tag,
-                                        t.epoch,
-                                        t.write_start,
-                                        now,
-                                    );
-                                    // The request is over on this node:
-                                    // accepted → last byte out. A slow
-                                    // one gets its span chain pinned.
-                                    let total = now
-                                        .saturating_duration_since(t.accepted)
-                                        .as_nanos()
-                                        .min(u128::from(u64::MAX))
-                                        as u64;
-                                    flight.maybe_pin(&t.ctx, total);
-                                }
-                            }
-                            if let Some((tag, t0)) = done.timing {
-                                let trace_id = done.trace.map_or(0, |t| t.ctx.trace_id);
-                                self.shared.metrics.write_flush(tag).record_since_tagged(
-                                    Some(t0),
-                                    0,
-                                    trace_id,
-                                );
+                            if let Some(reply) = done.reply {
+                                conn.in_flight = conn.in_flight.saturating_sub(1);
+                                self.close_write_stage(&reply);
                             }
                         } else {
                             conn.out_off += n;
@@ -847,6 +873,34 @@ impl EventLoop {
             }
         }
         true
+    }
+
+    /// Closes out a reply's write/flush stage — reply encoded → last
+    /// byte handed to the kernel, queueing behind the socket included,
+    /// by design — and, for a traced request, judges whether the whole
+    /// request was slow.
+    fn close_write_stage(&self, reply: &Reply) {
+        let trace_id = reply.trace.map_or(0, |(ctx, _)| ctx.trace_id);
+        self.shared
+            .metrics
+            .write_flush(reply.tag)
+            .record_since_tagged(reply.encoded, 0, trace_id);
+        if let (Some(flight), Some((ctx, epoch)), Some(t0), Some(t1)) = (
+            self.shared.trace.flight(),
+            reply.trace,
+            reply.started,
+            reply.encoded,
+        ) {
+            let now = Instant::now();
+            flight.span(&ctx, Stage::WriteFlush, reply.tag, epoch, t1, now);
+            // The request is over on this node: decoded → last byte
+            // out. A slow one gets its span chain pinned.
+            let total = now
+                .saturating_duration_since(t0)
+                .as_nanos()
+                .min(u128::from(u64::MAX)) as u64;
+            flight.maybe_pin(&ctx, total);
+        }
     }
 
     fn publish_conn_gauge(&self) {

@@ -73,14 +73,15 @@ pub(crate) trait EpochFanout: Send + Sync + 'static {
 ///   looks (capacity-1 feeds retire the previous epoch immediately).
 ///
 /// The price is that sink IO (an append + fsync, for
-/// `pathcopy-durable`'s persister) serializes publishes. Publishes are
+/// `pathcopy-durable`'s persister) serializes publishes, and a
+/// `Publish` request runs it on the server's event loop. Publishes are
 /// rare control-plane events next to reads/writes, so this is the right
 /// trade; a sink must still never block indefinitely.
 ///
 /// A sink has no way to reject an epoch: publication is already visible
 /// to pullers. Persisters record failures on the side (see
 /// `FeedPersister::take_error` in `pathcopy-durable`) rather than
-/// panicking in a server worker.
+/// panicking on the event loop.
 pub trait FeedSink: Send + Sync + 'static {
     /// Called once per published epoch. `prev` is the previous epoch's
     /// snapshot (`None` for the first epoch this feed ever assigned), so

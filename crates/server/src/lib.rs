@@ -5,8 +5,8 @@
 //! carries a correlation id so multiple requests can be in flight per
 //! connection, an event-driven nonblocking TCP [server] (a single
 //! readiness loop over a hand-rolled `epoll`/`poll(2)` shim multiplexes
-//! every connection; a [thread pool](pool) executes the backend work),
-//! a pipelined [client] ([`Session::submit`] → [`Ticket::wait`], with
+//! every connection and runs each request to completion), a pipelined
+//! [client] ([`Session::submit`] → [`Ticket::wait`], with
 //! the blocking [`Client`] as the serial facade), and the primary side
 //! of the replication subsystem (the [version feed](feed) replicas sync
 //! from; the replica engine and the `loadgen` traffic generator live in
@@ -16,7 +16,7 @@
 //!
 //! Because connections are multiplexed rather than pinned to threads,
 //! idle connections are nearly free ([`ServerConfig::max_conns`]
-//! bounds them, not the worker count), and overload is shed explicitly:
+//! bounds them, not a thread count), and overload is shed explicitly:
 //! past [`ServerConfig::queue_depth`] in-flight requests on one
 //! connection the server answers [`WireError::Busy`] instead of
 //! stalling the socket — surfaced client-side as
@@ -67,7 +67,6 @@ mod event;
 pub mod feed;
 pub mod metrics;
 mod poll;
-pub mod pool;
 pub mod proto;
 pub mod server;
 

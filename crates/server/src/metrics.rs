@@ -4,8 +4,8 @@
 //!
 //! The event loop owns a [`ServerMetrics`]: one
 //! [`Recorder`] per (stage, request-tag)
-//! pair for the three in-process stages it can see — decode→dispatch
-//! queue wait, worker execute time, and reply-ready→flushed write time.
+//! pair for the two in-process stages it can see — decode→reply-encoded
+//! execute time and reply-encoded→flushed write time.
 //! Components outside the event loop (the durable feed persister, push
 //! replicas relaying a feed) implement [`MetricsSource`] and register
 //! themselves, so one `Metrics` scrape returns the whole pipeline.
@@ -31,8 +31,8 @@ const TAG_SLOTS: usize = 22;
 /// persister's fsync histogram, a push replica's apply/lag histograms,
 /// or any future pipeline stage.
 pub trait MetricsSource: Send + Sync {
-    /// Snapshot this source's histograms as wire rows. Called on a
-    /// worker thread per scrape; must not block on the serving path.
+    /// Snapshot this source's histograms as wire rows. Called on the
+    /// event loop per scrape; must not block.
     fn collect(&self) -> Vec<StageSummary>;
 
     /// Zeroes this source's histograms
@@ -65,12 +65,11 @@ pub fn summarize(stage: Stage, tag: u8, snap: &HistogramSnapshot) -> StageSummar
     }
 }
 
-/// The server's stage-tracing registry: three per-tag recorder families
+/// The server's stage-tracing registry: two per-tag recorder families
 /// for the event loop's stages plus externally registered
 /// [`MetricsSource`]s.
 pub struct ServerMetrics {
     enabled: bool,
-    queue_wait: Vec<Recorder>,
     execute: Vec<Recorder>,
     write_flush: Vec<Recorder>,
     extra: Mutex<Vec<Arc<dyn MetricsSource>>>,
@@ -94,7 +93,6 @@ impl ServerMetrics {
         };
         ServerMetrics {
             enabled,
-            queue_wait: family(),
             execute: family(),
             write_flush: family(),
             extra: Mutex::new(Vec::new()),
@@ -124,12 +122,6 @@ impl ServerMetrics {
         &family[if idx < TAG_SLOTS { idx } else { 0 }]
     }
 
-    /// Queue-wait recorder for a request tag.
-    #[inline]
-    pub(crate) fn queue_wait(&self, tag: u8) -> &Recorder {
-        Self::slot(&self.queue_wait, tag)
-    }
-
     /// Execute-time recorder for a request tag.
     #[inline]
     pub(crate) fn execute(&self, tag: u8) -> &Recorder {
@@ -152,7 +144,7 @@ impl ServerMetrics {
     /// report a fresh window. Idempotent; concurrent recordings may
     /// land on either side of the wipe.
     pub fn reset_all(&self) {
-        for family in [&self.queue_wait, &self.execute, &self.write_flush] {
+        for family in [&self.execute, &self.write_flush] {
             for rec in family.iter() {
                 rec.reset();
             }
@@ -168,7 +160,6 @@ impl ServerMetrics {
     pub fn report(&self) -> Vec<StageSummary> {
         let mut rows = Vec::new();
         let families = [
-            (Stage::QueueWait, &self.queue_wait),
             (Stage::Execute, &self.execute),
             (Stage::WriteFlush, &self.write_flush),
         ];
@@ -266,7 +257,7 @@ mod tests {
         let m = ServerMetrics::new(false);
         assert!(!m.is_enabled());
         assert!(m.begin().is_none());
-        let t = m.queue_wait(1).lap(m.begin());
+        let t = m.execute(1).lap(m.begin());
         assert!(t.is_none());
         assert!(m.report().is_empty());
     }
@@ -275,16 +266,16 @@ mod tests {
     fn enabled_registry_reports_per_stage_per_tag_rows() {
         let m = ServerMetrics::new(true);
         let t0 = m.begin();
-        let t1 = m.queue_wait(1).lap(t0);
-        let t2 = m.execute(1).lap(t1);
-        assert!(t2.is_some());
+        let t1 = m.execute(1).lap(t0);
+        assert!(t1.is_some());
+        m.execute(2).record(50);
         m.write_flush(5).record(100);
 
         let rows = m.report();
         assert_eq!(rows.len(), 3);
         assert_eq!(
             (rows[0].stage, rows[0].tag),
-            (Stage::QueueWait as u8, 1),
+            (Stage::Execute as u8, 1),
             "{rows:?}"
         );
         assert_eq!((rows[2].stage, rows[2].tag), (Stage::WriteFlush as u8, 5));
@@ -329,7 +320,7 @@ mod tests {
     fn render_text_is_prometheus_shaped() {
         let rows = vec![
             StageSummary {
-                stage: Stage::QueueWait as u8,
+                stage: Stage::Execute as u8,
                 tag: 1,
                 count: 10,
                 sum: 1000,
@@ -360,12 +351,12 @@ mod tests {
             },
         ];
         let text = render_text(&rows);
-        assert!(text.contains("# TYPE pathcopy_queue_wait_ns summary"));
-        assert!(text.contains("pathcopy_queue_wait_ns{tag=\"Get\",quantile=\"0.5\"} 90"));
-        assert!(text.contains("pathcopy_queue_wait_ns_count{tag=\"Get\"} 10"));
+        assert!(text.contains("# TYPE pathcopy_execute_ns summary"));
+        assert!(text.contains("pathcopy_execute_ns{tag=\"Get\",quantile=\"0.5\"} 90"));
+        assert!(text.contains("pathcopy_execute_ns_count{tag=\"Get\"} 10"));
         // Exemplar rides the max line; rows without one stay bare.
         assert!(text.contains(
-            "pathcopy_queue_wait_ns{tag=\"Get\",quantile=\"1\"} 220 \
+            "pathcopy_execute_ns{tag=\"Get\",quantile=\"1\"} 220 \
              # {request_id=\"41\",trace_id=\"beef\"} 220"
         ));
         assert!(text.contains("# TYPE pathcopy_epoch_lag_epochs summary"));

@@ -11,7 +11,8 @@
 //!
 //! [`Poller`] is the small common interface: register a file
 //! descriptor under a `u64` token with a read/write interest, then
-//! [`wait`](Poller::wait) for [`PollEvent`]s. Both backends are
+//! [`wait`](Poller::wait) — up to an optional timeout — for
+//! [`PollEvent`]s. Both backends are
 //! **level-triggered**, so a handler that does not fully drain a ready
 //! socket is re-notified on the next wait — the event loop can stay
 //! simple and correct rather than chase edge-triggered starvation
@@ -49,12 +50,26 @@ impl Interest {
 
 pub(crate) use imp::Poller;
 
+/// A wait timeout in the milliseconds both syscalls take: `-1` blocks
+/// indefinitely, and a partial millisecond rounds up, so a deadline is
+/// never polled for early and then spun on.
+fn timeout_ms(timeout: Option<std::time::Duration>) -> std::os::raw::c_int {
+    match timeout {
+        None => -1,
+        Some(d) => {
+            let ms = d.as_nanos().div_ceil(1_000_000);
+            ms.min(std::os::raw::c_int::MAX as u128) as std::os::raw::c_int
+        }
+    }
+}
+
 #[cfg(target_os = "linux")]
 mod imp {
-    use super::{Interest, PollEvent};
+    use super::{timeout_ms, Interest, PollEvent};
     use std::io;
     use std::os::fd::RawFd;
     use std::os::raw::c_int;
+    use std::time::Duration;
 
     // The kernel ABI packs epoll_event on x86-64 (matching the 32-bit
     // layout); other architectures use natural alignment.
@@ -138,15 +153,21 @@ mod imp {
             self.ctl(EPOLL_CTL_DEL, fd, None)
         }
 
-        /// Blocks until at least one registered fd is ready (no
-        /// timeout), appending the notifications to `out`.
-        pub(crate) fn wait(&self, out: &mut Vec<PollEvent>) -> io::Result<()> {
+        /// Blocks until at least one registered fd is ready or
+        /// `timeout` (`None` = never) passes, appending the
+        /// notifications to `out`.
+        pub(crate) fn wait(
+            &self,
+            out: &mut Vec<PollEvent>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
+            let timeout = timeout_ms(timeout);
             let n = loop {
                 // SAFETY: `buf` is a live array of `buf.len()` events;
                 // the kernel writes at most `maxevents` entries.
                 match cvt(unsafe {
-                    epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, -1)
+                    epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout)
                 }) {
                     Ok(n) => break n as usize,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -194,12 +215,13 @@ mod imp {
 
 #[cfg(all(unix, not(target_os = "linux")))]
 mod imp {
-    use super::{Interest, PollEvent};
+    use super::{timeout_ms, Interest, PollEvent};
     use std::collections::HashMap;
     use std::io;
     use std::os::fd::RawFd;
     use std::os::raw::{c_int, c_short, c_ulong};
     use std::sync::Mutex;
+    use std::time::Duration;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -251,7 +273,12 @@ mod imp {
             Ok(())
         }
 
-        pub(crate) fn wait(&self, out: &mut Vec<PollEvent>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &self,
+            out: &mut Vec<PollEvent>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
+            let timeout = timeout_ms(timeout);
             let (mut pollfds, tokens): (Vec<PollFd>, Vec<u64>) = {
                 let fds = self.fds.lock().unwrap();
                 fds.iter()
@@ -277,7 +304,7 @@ mod imp {
             loop {
                 // SAFETY: `pollfds` is a live array of `len()` entries
                 // for the duration of the call.
-                let ret = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as c_ulong, -1) };
+                let ret = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as c_ulong, timeout) };
                 if ret >= 0 {
                     break;
                 }
@@ -318,7 +345,7 @@ mod tests {
 
         a.write_all(b"x").unwrap();
         let mut events = Vec::new();
-        poller.wait(&mut events).unwrap();
+        poller.wait(&mut events, None).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
 
         let mut byte = [0u8; 1];
@@ -344,7 +371,7 @@ mod tests {
             )
             .unwrap();
         let mut events = Vec::new();
-        poller.wait(&mut events).unwrap();
+        poller.wait(&mut events, None).unwrap();
         assert!(events.iter().any(|e| e.token == 1 && e.writable));
         // Dropping write interest must stop the storm; prove the
         // reregister call itself is accepted.
@@ -360,10 +387,26 @@ mod tests {
         poller.register(b.as_raw_fd(), 9, Interest::READ).unwrap();
         drop(a);
         let mut events = Vec::new();
-        poller.wait(&mut events).unwrap();
+        poller.wait(&mut events, None).unwrap();
         assert!(events.iter().any(|e| e.token == 9 && e.readable));
         let mut buf = [0u8; 8];
         let mut b2 = &b;
         assert_eq!(b2.read(&mut buf).unwrap(), 0, "EOF after hangup");
+    }
+
+    #[test]
+    fn wait_returns_empty_after_its_timeout() {
+        let (_a, b) = UnixStream::pair().unwrap();
+        let poller = Poller::new().unwrap();
+        poller.register(b.as_raw_fd(), 3, Interest::READ).unwrap();
+        let mut events = Vec::new();
+        let start = std::time::Instant::now();
+        poller
+            .wait(&mut events, Some(std::time::Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.is_empty(), "nothing was written: {events:?}");
+        assert!(start.elapsed() >= std::time::Duration::from_millis(20));
+        assert_eq!(timeout_ms(None), -1);
+        assert_eq!(timeout_ms(Some(std::time::Duration::from_micros(1))), 1);
     }
 }

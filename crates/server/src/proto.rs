@@ -492,8 +492,9 @@ pub struct ServerGauges {
 /// request tag that went through it.
 ///
 /// `stage` bytes are the `pathcopy_metrics::Stage` discriminants
-/// (1 queue_wait, 2 execute, 3 write_flush, 4 append_fsync,
-/// 5 push_apply, 6 epoch_lag); unknown values must be skipped, not
+/// (2 execute, 3 write_flush, 4 append_fsync, 5 push_apply,
+/// 6 epoch_lag; 1 is retired and unused); unknown values must be
+/// skipped, not
 /// rejected, so servers can add stages without breaking old scrapers.
 /// Values are nanoseconds for every stage except `epoch_lag`, which
 /// counts epochs.
@@ -561,6 +562,10 @@ pub enum WireError {
     /// The read was **not** served — retry here later, or read from a
     /// fresher replica or the primary.
     Stale(Epoch),
+    /// The server's handler panicked while executing this request. The
+    /// request may or may not have taken effect; the connection stays
+    /// usable and later requests are served normally.
+    Internal,
 }
 
 impl std::fmt::Display for WireError {
@@ -594,6 +599,7 @@ impl std::fmt::Display for WireError {
                     "feed still behind the requested watermark (head: {head}); read not served"
                 )
             }
+            WireError::Internal => write!(f, "internal server error while executing the request"),
         }
     }
 }
@@ -1384,6 +1390,7 @@ impl Response {
                         out.push(7);
                         put_u64(out, *head);
                     }
+                    WireError::Internal => out.push(8),
                 }
             }
             Response::BatchAborted(failed) => {
@@ -1588,6 +1595,7 @@ impl Response {
                 5 => WireError::EpochRetired(cur.u64()?),
                 6 => WireError::Busy(cur.u64()?),
                 7 => WireError::Stale(cur.u64()?),
+                8 => WireError::Internal,
                 tag => return Err(ProtoError::BadTag { what: "error", tag }),
             }),
             12 => {
@@ -2276,6 +2284,7 @@ mod tests {
             Response::Error(WireError::EpochRetired(4)),
             Response::Error(WireError::Busy(64)),
             Response::Error(WireError::Stale(13)),
+            Response::Error(WireError::Internal),
         ];
         for resp in resps {
             assert_eq!(roundtrip_response(&resp), resp);

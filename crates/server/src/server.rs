@@ -1,12 +1,12 @@
-//! The TCP server: an event-driven core, a backend work pool, and the
-//! named-snapshot version table.
+//! The TCP server: an event-driven core and the named-snapshot version
+//! table.
 //!
 //! [`spawn`] binds a listener (an ephemeral loopback port by default)
 //! and starts one event-loop thread (the private `event` module) that
-//! owns every connection nonblockingly; decoded requests run on a
-//! [`ThreadPool`](crate::pool::ThreadPool) of `workers` threads, so
-//! connection count and execution parallelism are independent knobs —
-//! thousands of mostly-idle connections cost fds and buffers, not
+//! owns every connection nonblockingly and runs each decoded request to
+//! completion through `handle_request` — the engine's reads and
+//! writes never block, so they run on the loop thread itself.
+//! Thousands of mostly-idle connections cost fds and buffers, not
 //! threads. The server is generic over its engine through
 //! `Box<dyn ServeBackend>` — any backend of the registry
 //! ([`crate::backend::backends`]) can be served unchanged.
@@ -23,10 +23,10 @@
 //! Shutdown ([`ServerHandle::shutdown`], also run on drop) is
 //! deterministic: the stop flag is raised, a byte on the self-wake pipe
 //! returns the event loop from its poll, and the loop's teardown closes
-//! every connection socket and joins the pool.
+//! every connection socket.
 
 use std::collections::HashMap;
-use std::io::{self, Write as _};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,7 +39,7 @@ use pathcopy_core::{ByteCounters, ByteCountersSnapshot};
 use pathcopy_trace::{Flight, TraceContext, TraceRecorder};
 
 use crate::backend::{ServeBackend, ServeSnapshot};
-use crate::event::{Completions, EventLoop, PushHub, Tunables};
+use crate::event::{EventLoop, PushHub, Tunables};
 use crate::feed::{FeedSink, VersionFeed};
 use crate::metrics::{MetricsSource, ServerMetrics};
 use crate::proto::{
@@ -53,10 +53,6 @@ pub struct ServerConfig {
     /// Address to bind; the default is an ephemeral loopback port
     /// (`127.0.0.1:0`), read back via [`ServerHandle::addr`].
     pub addr: SocketAddr,
-    /// Backend worker threads — the execution parallelism for request
-    /// handling. Connections are multiplexed on the event loop and are
-    /// **not** bounded by this (see [`ServerConfig::max_conns`]).
-    pub workers: usize,
     /// Maximum accepts drained per listener readiness wake. Bounds how
     /// long an accept storm can monopolize one loop iteration before
     /// established connections get service again.
@@ -64,11 +60,13 @@ pub struct ServerConfig {
     /// Maximum simultaneous connections; accepts beyond the cap are
     /// refused (the socket is closed immediately after the handshake).
     pub max_conns: usize,
-    /// Per-connection bound on in-flight (dispatched, unanswered)
-    /// requests. A pipelined client pushing past it gets an immediate
-    /// [`WireError::Busy`] for the excess request — admission control
-    /// instead of unbounded server-side queueing. Lock-step clients
-    /// (at most one request in flight) never trip it.
+    /// Per-connection bound on in-flight requests: decoded, reply not
+    /// yet handed to the kernel, a parked [`Request::GetAt`] included.
+    /// A request arriving with the bound already in flight gets an
+    /// immediate [`WireError::Busy`] — admission control instead of
+    /// unbounded server-side buffering of replies the peer is not
+    /// reading. Lock-step clients (at most one request in flight) never
+    /// trip it.
     pub queue_depth: usize,
     /// Capacity of the version table. Every pinned snapshot keeps an
     /// entire map version alive under write churn, and nothing but an
@@ -93,16 +91,16 @@ pub struct ServerConfig {
     /// the feed purely in memory.
     pub feed_sink: Option<Arc<dyn FeedSink>>,
     /// Whether the event loop records per-stage latency histograms
-    /// (queue wait, execute, write/flush — per request tag), scrapeable
+    /// (execute and write/flush, per request tag), scrapeable
     /// via [`Request::Metrics`]. On by default; with `false` every
     /// recorder is the disabled variant and the hot path pays a branch,
     /// not a clock read or an atomic (see `pathcopy-metrics`).
     pub metrics: bool,
     /// Optional flight recorder for distributed request tracing
     /// ([`Request::TraceDump`]). When set, requests arriving with a
-    /// wire trace context get per-stage spans (queue wait, execute,
-    /// write/flush — plus fsync and push fan-out through the feed
-    /// hooks) recorded into this ring; `None` (the default) disables
+    /// wire trace context get per-stage spans (execute, write/flush —
+    /// plus fsync and push fan-out through the feed hooks) recorded
+    /// into this ring; `None` (the default) disables
     /// tracing entirely and every trace call is branch-only.
     pub trace: Option<Arc<Flight>>,
 }
@@ -111,7 +109,6 @@ impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
             .field("addr", &self.addr)
-            .field("workers", &self.workers)
             .field("backlog", &self.backlog)
             .field("max_conns", &self.max_conns)
             .field("queue_depth", &self.queue_depth)
@@ -132,7 +129,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
-            workers: 4,
             backlog: 64,
             max_conns: 4096,
             queue_depth: 64,
@@ -154,23 +150,15 @@ impl ServerConfig {
     /// use pathcopy_server::ServerConfig;
     ///
     /// let config = ServerConfig::builder()
-    ///     .workers(8)
     ///     .max_conns(10_000)
     ///     .queue_depth(32)
     ///     .build();
-    /// assert_eq!(config.workers, 8);
+    /// assert_eq!(config.queue_depth, 32);
     /// ```
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder {
             config: Self::default(),
         }
-    }
-
-    /// [`Default::default`] with a different worker count — shorthand
-    /// for `ServerConfig::builder().workers(n).build()`, kept because
-    /// it is what almost every test and tool wants.
-    pub fn with_workers(workers: usize) -> Self {
-        Self::builder().workers(workers).build()
     }
 }
 
@@ -184,12 +172,6 @@ impl ServerConfigBuilder {
     /// Sets the bind address ([`ServerConfig::addr`]).
     pub fn addr(mut self, addr: SocketAddr) -> Self {
         self.config.addr = addr;
-        self
-    }
-
-    /// Sets the backend worker-thread count ([`ServerConfig::workers`]).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
         self
     }
 
@@ -257,7 +239,7 @@ impl ServerConfigBuilder {
     }
 }
 
-/// State shared by the event loop and every pool worker.
+/// State shared by the event loop and the [`ServerHandle`].
 pub(crate) struct Shared {
     backend: Box<dyn ServeBackend>,
     /// The version table: named snapshot handles pinned by
@@ -278,8 +260,8 @@ pub(crate) struct Shared {
     /// Server-side wire byte counters, maintained by the loop on every
     /// socket read and write.
     pub(crate) wire: ByteCounters,
-    /// The push fan-out registry; also the feed's [`EpochFanout`](
-    /// crate::feed) hook.
+    /// The push fan-out registry and the loop's self-wake pipe; also
+    /// the feed's [`EpochFanout`](crate::feed) hook.
     pub(crate) push: Arc<PushHub>,
     /// Per-stage latency tracing ([`Request::Metrics`]); every recorder
     /// is disabled when [`ServerConfig::metrics`] is `false`.
@@ -310,13 +292,10 @@ impl Shared {
 }
 
 /// A running server; dropping it (or calling
-/// [`shutdown`](Self::shutdown)) stops the event loop and joins every
-/// worker.
+/// [`shutdown`](Self::shutdown)) stops and joins the event loop.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// Write end of the loop's self-wake pipe, poked on shutdown.
-    wake: UnixStream,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -345,13 +324,11 @@ pub struct ServerHandle {
 pub fn spawn(backend: Box<dyn ServeBackend>, config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
-    // The self-wake pipe: pool workers (and shutdown) poke the write
-    // end, the event loop polls the read end.
+    // The self-wake pipe: other threads (publishes, shutdown) poke the
+    // write end, the event loop polls the read end.
     let (wake_tx, wake_rx) = UnixStream::pair()?;
     wake_tx.set_nonblocking(true)?;
-    let handle_wake = wake_tx.try_clone()?;
-    let completions = Arc::new(Completions::new(wake_tx));
-    let push = Arc::new(PushHub::new(Arc::clone(&completions)));
+    let push = Arc::new(PushHub::new(wake_tx));
     let shared = Arc::new(Shared {
         backend,
         snapshots: Mutex::new(HashMap::new()),
@@ -374,8 +351,6 @@ pub fn spawn(backend: Box<dyn ServeBackend>, config: ServerConfig) -> io::Result
         listener,
         wake_rx,
         Arc::clone(&shared),
-        completions,
-        config.workers,
         Tunables {
             backlog: config.backlog,
             max_conns: config.max_conns,
@@ -388,7 +363,6 @@ pub fn spawn(backend: Box<dyn ServeBackend>, config: ServerConfig) -> io::Result
     Ok(ServerHandle {
         addr,
         shared,
-        wake: handle_wake,
         thread: Some(thread),
     })
 }
@@ -481,9 +455,8 @@ impl ServerHandle {
         self.shared.trace.flight()
     }
 
-    /// Stops the event loop, closes every connection, joins the worker
-    /// pool, and returns once the server is fully down. Also performed
-    /// on drop.
+    /// Stops the event loop, closes every connection, and returns once
+    /// the server is fully down. Also performed on drop.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -495,7 +468,7 @@ impl ServerHandle {
         self.shared.stop.store(true, Ordering::SeqCst);
         // A byte on the self-wake pipe returns the loop from its poll;
         // it checks the stop flag and tears down.
-        let _ = (&self.wake).write(&[1u8]);
+        self.shared.push.wake();
         let _ = thread.join();
     }
 }
@@ -523,9 +496,10 @@ fn resolve_snapshot(
     }
 }
 
-/// Executes one request against the shared state — the dispatch every
-/// pool worker runs. Pure request→response; framing, ordering, and
-/// admission control all live in the event loop. `trace` is the
+/// Executes one request against the shared state, on the event loop.
+/// Pure request→response and never blocks on the feed: framing,
+/// admission control and `GetAt` parking all live in the loop. `trace`
+/// is the
 /// context to propagate into downstream stages (the durable sink and
 /// the push fan-out) — for a traced request the event loop passes the
 /// child of its own execute span, so downstream spans parent
@@ -669,32 +643,21 @@ pub(crate) fn handle_request(
                 done: complete,
             }
         }
-        // Registration is connection state, so SubscribePush is handled
-        // inline by the event loop and never reaches a worker; seeing it
-        // here means a caller bypassed the loop.
+        // Registration is connection state, so the event loop handles
+        // SubscribePush itself and never passes it here; seeing it here
+        // means a caller bypassed the loop.
         Request::SubscribePush { .. } => Response::Error(WireError::Malformed),
-        Request::GetAt {
-            key,
-            min_epoch,
-            wait_ms,
-        } => {
-            // Bounded wait for the feed to reach the caller's session
-            // watermark. The wait parks a pool worker, so it is clamped
-            // hard; a load-bearing deployment sizes `workers` for it.
-            let deadline = std::time::Instant::now()
-                + std::time::Duration::from_millis(wait_ms.min(1000) as u64);
-            loop {
-                let head = shared.feed.info().head;
-                if head >= min_epoch {
-                    return Response::GotAt {
-                        value: shared.backend.get(key),
-                        epoch: head,
-                    };
+        // The loop parks a read whose watermark is not yet published
+        // and calls here once it is, or once the wait is over.
+        Request::GetAt { key, min_epoch, .. } => {
+            let head = shared.feed.info().head;
+            if head >= min_epoch {
+                Response::GotAt {
+                    value: shared.backend.get(key),
+                    epoch: head,
                 }
-                if std::time::Instant::now() >= deadline {
-                    return Response::Error(WireError::Stale(head));
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
+            } else {
+                Response::Error(WireError::Stale(head))
             }
         }
         Request::WriteAt { op } => {
@@ -1013,8 +976,7 @@ mod tests {
         let server = sharded_server();
         let mut c = Client::connect(server.addr()).unwrap();
         c.insert(1, 1).unwrap();
-        // `c` stays connected with its worker parked in a read; shutdown
-        // must not hang on it.
+        // `c` stays connected and idle; shutdown must not hang on it.
         server.shutdown();
         assert!(c.get(1).is_err(), "connection is dead after shutdown");
     }
@@ -1023,11 +985,11 @@ mod tests {
     fn more_connections_than_workers_are_served_in_turn() {
         let server = spawn(
             Box::new(ShardedServe::with_shards(4)),
-            ServerConfig::with_workers(2),
+            ServerConfig::default(),
         )
         .unwrap();
-        // Sequential connect/use/drop cycles: each frees its worker for
-        // the next, so 6 connections pass through 2 workers.
+        // Sequential connect/use/drop cycles through the one loop
+        // thread: each connection is served and closed in turn.
         for round in 0..6 {
             let mut c = Client::connect(server.addr()).unwrap();
             assert_eq!(c.insert(round, round).unwrap(), None);

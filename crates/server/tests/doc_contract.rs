@@ -233,6 +233,7 @@ fn error_subtag_table_matches_the_encoder() {
         ("EpochRetired", WireError::EpochRetired(0)),
         ("Busy", WireError::Busy(0)),
         ("Stale", WireError::Stale(0)),
+        ("Internal", WireError::Internal),
     ];
     for (name, err) in samples {
         let mut body = Vec::new();

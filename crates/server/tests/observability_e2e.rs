@@ -94,7 +94,7 @@ fn metrics_scrape_returns_per_stage_per_tag_histograms() {
     known_op_sequence(&mut c);
 
     // Everything answered so far has been flushed (we read each reply),
-    // so all three stages must have rows for the tags the sequence
+    // so both loop stages must have rows for the tags the sequence
     // exercised.
     let rows = c.metrics().unwrap();
     assert!(!rows.is_empty());
@@ -108,13 +108,13 @@ fn metrics_scrape_returns_per_stage_per_tag_histograms() {
         rows.iter()
             .any(|r| r.stage == stage as u8 && r.tag == tag && r.count > 0)
     };
-    for stage in [Stage::QueueWait, Stage::Execute, Stage::WriteFlush] {
+    for stage in [Stage::Execute, Stage::WriteFlush] {
         assert!(has(stage, 1), "{stage:?} for Get: {rows:?}");
         assert!(has(stage, 2), "{stage:?} for Insert: {rows:?}");
         assert!(has(stage, 5), "{stage:?} for Batch: {rows:?}");
         assert!(has(stage, 11), "{stage:?} for Publish: {rows:?}");
     }
-    // Get ran 16 times through queue-wait and execute.
+    // Get ran 16 times through execute.
     let get_exec = rows
         .iter()
         .find(|r| r.stage == Stage::Execute as u8 && r.tag == 1)
@@ -124,7 +124,7 @@ fn metrics_scrape_returns_per_stage_per_tag_histograms() {
 
     // The text exposition renders every stage the scrape returned.
     let text = render_text(&rows);
-    assert!(text.contains("# TYPE pathcopy_queue_wait_ns summary"));
+    assert!(text.contains("# TYPE pathcopy_execute_ns summary"));
     assert!(text.contains("pathcopy_execute_ns{tag=\"Get\",quantile=\"0.99\"}"));
     assert!(text.contains("pathcopy_write_flush_ns_count{tag=\"Batch\"}"));
     server.shutdown();

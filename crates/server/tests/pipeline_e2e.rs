@@ -1,14 +1,15 @@
 //! End-to-end tests of the pipelined serving path: correlation ids pair
 //! responses with tickets regardless of completion order, a saturated
 //! per-connection queue sheds `Busy` without corrupting in-flight
-//! replies, and idle connections are multiplexed — not pinned to
-//! workers.
+//! replies, idle connections are multiplexed — not pinned to threads —
+//! a handler panic becomes an error reply, and a parked `GetAt` holds
+//! up nothing behind it.
 
 use std::io::BufReader;
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -16,7 +17,8 @@ use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::StatsSnapshot;
 use pathcopy_server::proto::{read_request_enveloped, write_response_with_id, Request, Response};
 use pathcopy_server::{
-    backend, Client, ClientError, ServeBackend, ServeSnapshot, ServerConfig, Session,
+    backend, Client, ClientError, ServeBackend, ServeSnapshot, ServerConfig, Session, Ticket,
+    WireError,
 };
 
 /// A mock v3 server: accepts one connection, reads `n` request frames,
@@ -92,15 +94,33 @@ proptest! {
 }
 
 /// Delegates every operation to the wrapped backend, stalling reads so
-/// a pipelined client can pile requests up faster than workers drain
-/// them.
+/// a pipelined client can pile requests up faster than the server
+/// drains them, panicking on a read of `panic_key`, and signalling
+/// `entered` as each read starts.
 struct SlowBackend {
     inner: Box<dyn ServeBackend>,
     read_delay: Duration,
+    panic_key: Option<i64>,
+    entered: Option<mpsc::SyncSender<()>>,
+}
+
+impl SlowBackend {
+    fn sharded(read_delay: Duration, panic_key: Option<i64>) -> Self {
+        SlowBackend {
+            inner: backend::by_name("sharded_map_8").expect("backend"),
+            read_delay,
+            panic_key,
+            entered: None,
+        }
+    }
 }
 
 impl ServeBackend for SlowBackend {
     fn get(&self, key: i64) -> Option<i64> {
+        assert_ne!(Some(key), self.panic_key, "read of the sentinel key");
+        if let Some(entered) = &self.entered {
+            let _ = entered.try_send(());
+        }
         thread::sleep(self.read_delay);
         self.inner.get(key)
     }
@@ -140,16 +160,10 @@ impl ServeBackend for SlowBackend {
 fn saturated_queue_sheds_busy_without_corrupting_in_flight_replies() {
     const DEPTH: usize = 2;
     const FLOOD: i64 = 24;
-    let slow = SlowBackend {
-        inner: backend::by_name("sharded_map_8").expect("backend"),
-        read_delay: Duration::from_millis(5),
-    };
+    let slow = SlowBackend::sharded(Duration::from_millis(5), None);
     let server = pathcopy_server::spawn(
         Box::new(slow),
-        ServerConfig::builder()
-            .workers(2)
-            .queue_depth(DEPTH)
-            .build(),
+        ServerConfig::builder().queue_depth(DEPTH).build(),
     )
     .expect("bind");
 
@@ -218,17 +232,16 @@ fn saturated_queue_sheds_busy_without_corrupting_in_flight_replies() {
 
 #[test]
 fn idle_connections_are_not_bounded_by_the_worker_count() {
-    const WORKERS: usize = 2;
-    const CONNS: usize = WORKERS * 4;
+    const CONNS: usize = 8;
     let server = pathcopy_server::spawn(
         backend::by_name("sharded_map_8").expect("backend"),
-        ServerConfig::builder().workers(WORKERS).build(),
+        ServerConfig::default(),
     )
     .expect("bind");
 
-    // Hold 4x workers connections open simultaneously — under the old
-    // thread-per-connection pool, connection N > workers would block
-    // at accept and this test would deadlock.
+    // Hold many connections open simultaneously on the one loop thread
+    // — under a thread-per-connection design, connections beyond the
+    // thread count would block at accept and this test would deadlock.
     let mut clients: Vec<Client> = (0..CONNS)
         .map(|_| Client::connect(server.addr()).expect("connect"))
         .collect();
@@ -251,5 +264,207 @@ fn idle_connections_are_not_bounded_by_the_worker_count() {
         assert_eq!(entries.len(), CONNS);
     }
     drop(clients);
+    server.shutdown();
+}
+
+/// Waits for `ticket` on a helper thread, so a reply that never comes
+/// fails the test after `limit` instead of hanging it.
+fn wait_bounded(ticket: Ticket, limit: Duration) -> Result<Response, ClientError> {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(ticket.wait());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("no reply within {limit:?}"))
+}
+
+const REPLY_LIMIT: Duration = Duration::from_secs(10);
+
+#[test]
+fn handler_panic_is_answered_internal_and_the_session_keeps_serving() {
+    const SENTINEL: i64 = -666;
+    let server = pathcopy_server::spawn(
+        Box::new(SlowBackend::sharded(Duration::ZERO, Some(SENTINEL))),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let session = Session::connect(server.addr()).expect("connect");
+    let insert = session
+        .submit(&Request::Insert { key: 1, value: 10 })
+        .expect("submit insert");
+    assert_eq!(
+        wait_bounded(insert, REPLY_LIMIT).expect("insert"),
+        Response::Inserted(None)
+    );
+
+    // The panicking read with a normal one pipelined right behind it.
+    let boom = session
+        .submit(&Request::Get { key: SENTINEL })
+        .expect("submit sentinel");
+    let next = session
+        .submit(&Request::Get { key: 1 })
+        .expect("submit next");
+    match wait_bounded(boom, REPLY_LIMIT) {
+        Err(ClientError::Server(WireError::Internal)) => {}
+        other => panic!("a handler panic must answer Internal, got {other:?}"),
+    }
+    assert_eq!(
+        wait_bounded(next, REPLY_LIMIT).expect("served after the panic"),
+        Response::Got(Some(10))
+    );
+
+    // The same session, and a fresh connection, are still served.
+    let again = session
+        .submit(&Request::Get { key: 1 })
+        .expect("submit again");
+    assert_eq!(
+        wait_bounded(again, REPLY_LIMIT).expect("served again"),
+        Response::Got(Some(10))
+    );
+    let mut other = Client::connect(server.addr()).expect("connect");
+    assert_eq!(other.get(1).expect("other connection"), Some(10));
+    drop(session);
+    server.shutdown();
+}
+
+#[test]
+fn parked_get_at_does_not_delay_pipelined_requests_and_wakes_on_publish() {
+    let server = pathcopy_server::spawn(
+        backend::by_name("sharded_map_8").expect("backend"),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let session = Session::connect(server.addr()).expect("connect");
+    let insert = session
+        .submit(&Request::Insert { key: 7, value: 70 })
+        .expect("submit insert");
+    wait_bounded(insert, REPLY_LIMIT).expect("insert");
+
+    // Nothing is published yet, so epoch 1 parks the read. Nothing is
+    // published until the Get behind it is answered either: had the Get
+    // waited for the parked read, that read would have run out its wait
+    // and answered `Stale` instead of the `GotAt` asserted below.
+    let parked = session
+        .submit(&Request::GetAt {
+            key: 7,
+            min_epoch: 1,
+            wait_ms: 60_000,
+        })
+        .expect("submit GetAt");
+    let get = session
+        .submit(&Request::Get { key: 7 })
+        .expect("submit Get");
+    assert_eq!(
+        wait_bounded(get, REPLY_LIMIT).expect("Get"),
+        Response::Got(Some(70))
+    );
+
+    // A publish on another connection answers the parked read.
+    let mut publisher = Client::connect(server.addr()).expect("connect publisher");
+    assert_eq!(publisher.publish().expect("publish"), 1);
+    assert_eq!(
+        wait_bounded(parked, REPLY_LIMIT).expect("GetAt"),
+        Response::GotAt {
+            value: Some(70),
+            epoch: 1
+        }
+    );
+    drop(session);
+    server.shutdown();
+}
+
+#[test]
+fn parked_get_at_counts_toward_queue_depth_and_answers_stale() {
+    const DEPTH: usize = 2;
+    const WAIT_MS: u32 = 1000;
+    let server = pathcopy_server::spawn(
+        backend::by_name("sharded_map_8").expect("backend"),
+        ServerConfig::builder().queue_depth(DEPTH).build(),
+    )
+    .expect("bind");
+    let session = Session::connect(server.addr()).expect("connect");
+    let start = Instant::now();
+    let parked: Vec<Ticket> = (0..DEPTH)
+        .map(|_| {
+            session
+                .submit(&Request::GetAt {
+                    key: 1,
+                    min_epoch: 9,
+                    wait_ms: WAIT_MS,
+                })
+                .expect("submit GetAt")
+        })
+        .collect();
+    // Both parked reads are in flight, so the connection is full.
+    let shed = session
+        .submit(&Request::Get { key: 1 })
+        .expect("submit Get");
+    match wait_bounded(shed, REPLY_LIMIT) {
+        Err(ClientError::Busy(depth)) => assert_eq!(depth, DEPTH as u64),
+        other => panic!("a full window must shed, got {other:?}"),
+    }
+    // Nothing is published before the wait ends: each read is answered
+    // with the head the server is at.
+    for ticket in parked {
+        match wait_bounded(ticket, REPLY_LIMIT) {
+            Err(ClientError::Server(WireError::Stale(0))) => {}
+            other => panic!("an expired GetAt must answer Stale(0), got {other:?}"),
+        }
+    }
+    assert!(
+        start.elapsed() >= Duration::from_millis(u64::from(WAIT_MS)),
+        "answered Stale before its wait ended"
+    );
+    // The window is free again.
+    let get = session
+        .submit(&Request::Get { key: 1 })
+        .expect("submit Get");
+    assert_eq!(
+        wait_bounded(get, REPLY_LIMIT).expect("Get"),
+        Response::Got(None)
+    );
+    assert_eq!(server.requests_shed(), 1);
+    drop(session);
+    server.shutdown();
+}
+
+#[test]
+fn a_push_burst_queued_while_the_loop_is_busy_does_not_demote() {
+    // Well past the per-subscriber outbox bound of 32 frames.
+    const BURST: u64 = 40;
+    let (entered_tx, entered_rx) = mpsc::sync_channel(1);
+    let slow = SlowBackend {
+        entered: Some(entered_tx),
+        ..SlowBackend::sharded(Duration::from_millis(300), None)
+    };
+    let server = pathcopy_server::spawn(Box::new(slow), ServerConfig::default()).expect("bind");
+    let subscriber = Session::connect(server.addr()).expect("connect subscriber");
+    let (_, pushes) = subscriber.subscribe(0).expect("subscribe");
+
+    // Hold the loop inside a slow read while another thread publishes
+    // the whole burst: every push frame queues up for the subscriber
+    // before the loop can move any of them to its socket.
+    let reader = Session::connect(server.addr()).expect("connect reader");
+    let slow_read = reader.submit(&Request::Get { key: 1 }).expect("submit Get");
+    entered_rx
+        .recv_timeout(REPLY_LIMIT)
+        .expect("the loop starts the read");
+    for epoch in 1..=BURST {
+        assert!(server.publish_at(epoch));
+    }
+    assert_eq!(
+        wait_bounded(slow_read, REPLY_LIMIT).expect("Get"),
+        Response::Got(None)
+    );
+
+    for epoch in 1..=BURST {
+        let push = pushes
+            .recv_timeout(REPLY_LIMIT)
+            .expect("subscription alive")
+            .unwrap_or_else(|| panic!("push for epoch {epoch} never arrived"));
+        assert_eq!(push.epoch, epoch);
+    }
+    assert_eq!(server.gauges().push_demotions, 0);
+    drop((subscriber, reader));
     server.shutdown();
 }

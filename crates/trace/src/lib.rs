@@ -655,12 +655,12 @@ mod tests {
         let f = Flight::with_capacity("n", 8);
         let ctx = TraceContext::sampled(9).child(77);
         let t0 = Instant::now();
-        let id = f.span(&ctx, Stage::QueueWait, 3, 12, t0, Instant::now());
+        let id = f.span(&ctx, Stage::Execute, 3, 12, t0, Instant::now());
         let dump = f.dump();
         assert_eq!(dump.len(), 1);
         assert_eq!(dump[0].span_id, id);
         assert_eq!(dump[0].parent_span, 77);
-        assert_eq!(dump[0].kind, Stage::QueueWait as u8);
+        assert_eq!(dump[0].kind, Stage::Execute as u8);
         assert_eq!(dump[0].epoch, 12);
     }
 

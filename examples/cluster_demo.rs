@@ -49,7 +49,7 @@ fn main() {
     }
 
     // Two read replicas: bootstrap (full sync) + their own TCP endpoints.
-    let nodes = cluster(addr, 2, "sharded_map_8", 2).expect("stand up replicas");
+    let nodes = cluster(addr, 2, "sharded_map_8").expect("stand up replicas");
     for (i, node) in nodes.iter().enumerate() {
         println!(
             "replica[{i}]: serving on {} (bootstrapped at epoch {})",

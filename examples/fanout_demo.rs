@@ -46,7 +46,7 @@ fn pump_to(node: &mut PushReplica, target: u64) {
 fn main() {
     let primary = pathcopy_server::spawn(
         backend::by_name("sharded_map_8").expect("registered backend"),
-        ServerConfig::with_workers(4),
+        ServerConfig::default(),
     )
     .expect("bind ephemeral loopback port");
     println!("primary: sharded_map_8 on {}", primary.addr());
@@ -67,7 +67,7 @@ fn main() {
                 .expect("relay");
         relay_addrs.push(
             relay
-                .serve_relay(ServerConfig::with_workers(2))
+                .serve_relay(ServerConfig::default())
                 .expect("serve relay"),
         );
         relays.push(relay);
@@ -79,7 +79,7 @@ fn main() {
                 backend::by_name("sharded_map_8").unwrap(),
             )
             .expect("leaf");
-            leaf.serve_relay(ServerConfig::with_workers(2))
+            leaf.serve_relay(ServerConfig::default())
                 .expect("leaf serves reads");
             leaf
         })

@@ -21,7 +21,7 @@ const MAP_SIZE: i64 = 50_000;
 fn main() {
     let server = pathcopy_server::spawn(
         backend::by_name("sharded_map_8").expect("registered backend"),
-        ServerConfig::with_workers(4),
+        ServerConfig::default(),
     )
     .expect("bind ephemeral loopback port");
     println!("serving sharded_map_8 on {}", server.addr());

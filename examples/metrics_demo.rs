@@ -3,13 +3,12 @@
 //! Spawns a server with metrics on (the default), drives a small mixed
 //! workload plus a push replica fed from a durable primary-less feed,
 //! and then scrapes `Request::Metrics` like an external collector
-//! would. The scrape decomposes every request's wall time into the
-//! three stages the event loop can see:
+//! would. The scrape decomposes every request's wall time on the
+//! server into the two stages the event loop can see:
 //!
-//! * **queue wait** — decode→dispatch: time spent parked behind the
-//!   worker pool. Rises when workers saturate.
-//! * **execute** — time inside the backend (the path-copying map).
-//!   Rises when the data structure itself slows down.
+//! * **execute** — decode→reply encoded: time inside the backend (the
+//!   path-copying map) plus the encode. Rises when the data structure
+//!   itself slows down.
 //! * **write/flush** — reply encoded→last byte handed to the kernel.
 //!   Rises when replies outpace the sockets.
 //!
@@ -73,12 +72,12 @@ fn main() {
     println!("{}", render_text(&rows));
 
     // The same rows are plain structs, so in-process consumers can
-    // compute their own views; here, the queue-wait/execute split per
+    // compute their own views; here, the execute/write-flush split per
     // tag — the first thing to look at when round trips regress.
     println!("stage split (mean ns per request tag):");
     for row in &rows {
         let stage = Stage::from_u8(row.stage).map_or("?", |s| s.as_str());
-        if row.count == 0 || !matches!(row.stage, 1 | 2) {
+        if row.count == 0 || !matches!(row.stage, 2 | 3) {
             continue;
         }
         println!(

@@ -6,7 +6,7 @@
 //! each node's `TraceDump` over the wire and renders one epoch's
 //! complete journey:
 //!
-//! * **primary** — queue wait, execute (with the durable
+//! * **primary** — execute (with the durable
 //!   append+fsync span nested inside it), and the reply write/flush;
 //! * **relay** — the push-apply span, parented under the primary's
 //!   execute span by the trace context the push frame carried;
@@ -41,7 +41,6 @@ fn main() {
     primary_flight.set_slow_threshold(Some(Duration::from_millis(1)));
     persister.attach_flight(Arc::clone(&primary_flight));
     let mut config = ServerConfig::builder()
-        .workers(2)
         .trace(Arc::clone(&primary_flight))
         .build();
     config.feed_sink = Some(Arc::clone(&persister) as Arc<dyn FeedSink>);
@@ -59,7 +58,7 @@ fn main() {
     relay_flight.set_slow_threshold(Some(Duration::from_millis(1)));
     relay.set_trace(relay_flight);
     relay
-        .serve_relay(ServerConfig::with_workers(2))
+        .serve_relay(ServerConfig::default())
         .expect("bind relay");
 
     let mut leaf = PushReplica::connect(
@@ -70,7 +69,7 @@ fn main() {
     let leaf_flight = Flight::new("leaf");
     leaf_flight.set_slow_threshold(Some(Duration::from_millis(1)));
     leaf.set_trace(leaf_flight);
-    leaf.serve_relay(ServerConfig::with_workers(2))
+    leaf.serve_relay(ServerConfig::default())
         .expect("bind leaf");
 
     // ── Traced publishes: one sampled context per epoch ─────────────

@@ -13,7 +13,7 @@ use pathcopy_server::{backend, Client, ServerConfig, ServerHandle};
 fn sharded_server() -> ServerHandle {
     pathcopy_server::spawn(
         backend::by_name("sharded_map_8").expect("registered backend"),
-        ServerConfig::with_workers(4),
+        ServerConfig::default(),
     )
     .expect("bind ephemeral loopback port")
 }
@@ -342,7 +342,7 @@ fn guarded_wire_batch_failed_guard_leaves_zero_partial_writes() {
 #[test]
 fn every_registered_backend_serves_the_same_contract() {
     for entry in backend::backends() {
-        let server = pathcopy_server::spawn((entry.make)(), ServerConfig::with_workers(2))
+        let server = pathcopy_server::spawn((entry.make)(), ServerConfig::default())
             .expect("bind ephemeral loopback port");
         let mut c = Client::connect(server.addr()).unwrap();
         let name = entry.name;
