@@ -46,9 +46,9 @@ fn fake_request(seed: u64) -> u64 {
 #[inline]
 fn traced_request(seed: u64, queue_wait: &Recorder, execute: &Recorder) -> u64 {
     let t0 = queue_wait.start();
-    let t1 = queue_wait.lap(t0);
+    let t1 = queue_wait.lap(t0, seed, 0);
     let out = fake_request(seed);
-    execute.lap(t1);
+    execute.lap(t1, seed, 0);
     out
 }
 

@@ -10,15 +10,16 @@
 //! versions share all unchanged subtrees). This crate writes that
 //! sequence down:
 //!
-//! * **Records** reuse the proto-v2 message encoding under a
-//!   checksummed, length-prefixed envelope — a diff record *is* an
-//!   encoded `EpochDiff`, a checkpoint *is* a run of bounded
+//! * **Records** reuse the proto-v3 message encoding (request id `0`)
+//!   under a checksummed, length-prefixed envelope — a diff record *is*
+//!   an encoded `EpochDiff`, a checkpoint *is* a run of bounded
 //!   `SyncPage`s (see [`record::crc32`] and `docs/WIRE_PROTOCOL.md`).
 //! * **Segments** rotate at a size threshold and retire oldest-first
 //!   under a byte cap, in whole checkpoint-anchored chains, so the log
 //!   always keeps at least one complete restore path ([`EpochLog`]).
 //! * **Recovery** ([`EpochLog::open`]) truncates a torn tail record
-//!   (crash mid-append) instead of failing, then [`EpochLog::replay`]
+//!   (crash mid-append) instead of failing — but refuses, untouched, a
+//!   checksummed record it cannot decode — then [`EpochLog::replay`]
 //!   rebuilds the head state into a fresh `ShardedTreapMap`.
 //! * **Point-in-time restore** ([`EpochLog::restore_epoch`]) rebuilds
 //!   *any* retained epoch for historical reads.

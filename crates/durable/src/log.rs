@@ -68,11 +68,12 @@ impl Default for LogConfig {
 pub enum LogError {
     /// The underlying filesystem operation failed.
     Io(io::Error),
-    /// A segment other than the newest has an invalid tail, or the
-    /// segment sequence is structurally impossible (a diff with no
-    /// preceding checkpoint, an epoch that does not chain). Torn tails
-    /// in the *newest* segment are not errors — [`EpochLog::open`]
-    /// truncates them.
+    /// A segment other than the newest has an invalid tail, any segment
+    /// holds a checksummed record that does not decode, or the segment
+    /// sequence is structurally impossible (a diff with no preceding
+    /// checkpoint, an epoch that does not chain). Torn tails in the
+    /// *newest* segment are not errors — [`EpochLog::open`] truncates
+    /// them.
     Corrupt {
         /// The offending segment file.
         segment: PathBuf,
@@ -252,8 +253,9 @@ impl EpochLog {
     /// Recovery scans every segment in epoch order, validating record
     /// checksums and the epoch chain. A torn tail in the *newest*
     /// segment — a crash mid-append — is truncated away and reported in
-    /// [`RecoveryInfo::truncated_bytes`]; damage anywhere else is
-    /// [`LogError::Corrupt`].
+    /// [`RecoveryInfo::truncated_bytes`]; damage anywhere else, and a
+    /// checksummed record that does not decode in any segment, is
+    /// [`LogError::Corrupt`], with the files left untouched.
     ///
     /// # Errors
     ///
@@ -294,18 +296,21 @@ impl EpochLog {
                 clean_len,
                 tail,
             } = scan_segment(&buf, false);
-            if let Tail::Torn(why) = tail {
-                if i != last_index {
+            match tail {
+                Tail::Clean => {}
+                Tail::Torn(_) if i == last_index => {
+                    truncated = buf.len() as u64 - clean_len;
+                    let f = OpenOptions::new().write(true).open(path)?;
+                    f.set_len(clean_len)?;
+                    f.sync_all()?;
+                    io.record_fsync();
+                }
+                Tail::Torn(why) | Tail::Corrupt(why) => {
                     return Err(LogError::Corrupt {
                         segment: path.clone(),
                         detail: why.to_string(),
                     });
                 }
-                truncated = buf.len() as u64 - clean_len;
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(clean_len)?;
-                f.sync_all()?;
-                io.record_fsync();
             }
             let mut checkpoint = None;
             for (j, unit) in units.iter().enumerate() {
@@ -667,7 +672,7 @@ impl EpochLog {
             let buf = fs::read(&meta.path)?;
             self.io.add_read(buf.len() as u64);
             let scan = scan_segment(&buf, true);
-            if let Tail::Torn(why) = scan.tail {
+            if let Tail::Torn(why) | Tail::Corrupt(why) = scan.tail {
                 return Err(LogError::Corrupt {
                     segment: meta.path.clone(),
                     detail: why.to_string(),

@@ -21,7 +21,7 @@ use crate::log::{EpochLog, LogError};
 /// Install it as
 /// [`ServerConfig::feed_sink`](pathcopy_server::ServerConfig) (or pass
 /// it to `VersionFeed::configured`) and every published epoch becomes
-/// durable before `publish` returns:
+/// durable before `publish_with` returns:
 ///
 /// * normally, the epoch's **pruned diff** against its predecessor —
 ///   the identical `prev.diff(snap)` the server would send a replica,
@@ -34,7 +34,7 @@ use crate::log::{EpochLog, LogError};
 ///   epoch at the cost of one full-state write.
 ///
 /// Publication cannot be un-announced, so the sink cannot make
-/// `publish` fail; log errors are parked for the operator instead
+/// `publish_with` fail; log errors are parked for the operator instead
 /// ([`take_error`](Self::take_error) / [`error_count`](Self::error_count)).
 ///
 /// Epochs at or below the log's head are skipped, which makes the sink
@@ -108,15 +108,6 @@ impl FeedSink for FeedPersister {
         epoch: Epoch,
         prev: Option<&Arc<dyn ServeSnapshot>>,
         snap: &Arc<dyn ServeSnapshot>,
-    ) {
-        self.on_publish_traced(epoch, prev, snap, None);
-    }
-
-    fn on_publish_traced(
-        &self,
-        epoch: Epoch,
-        prev: Option<&Arc<dyn ServeSnapshot>>,
-        snap: &Arc<dyn ServeSnapshot>,
         trace: Option<&TraceContext>,
     ) {
         if epoch <= self.log.head() {
@@ -147,7 +138,7 @@ impl FeedSink for FeedPersister {
             .record_tagged(ns, 0, trace.map_or(0, |c| c.trace_id));
         if let Some(ctx) = trace {
             if let Some(flight) = self.flight.lock().as_ref() {
-                flight.span(ctx, Stage::AppendFsync, 0, epoch, started, finished);
+                flight.span(None, ctx, Stage::AppendFsync, 0, epoch, started, finished);
             }
         }
         if let Err(e) = result {

@@ -6,10 +6,11 @@
 //! [ body_len: u32 LE ][ crc32(body): u32 LE ][ body: body_len bytes ]
 //! ```
 //!
-//! where `body` is a proto-v2 frame body (version byte, tag byte,
-//! payload) produced by [`Response::encode`] — the log stores exactly
-//! the messages the replication protocol already knows how to build and
-//! parse, so there is no second serialization format to maintain:
+//! where `body` is a proto-v3 frame body with request id `0` (version
+//! byte, id, tag byte, payload) produced by [`Response::encode`] — the
+//! log stores exactly the messages the replication protocol already
+//! knows how to build and parse, so there is no second serialization
+//! format to maintain:
 //!
 //! * [`Response::EpochDiff`] — one published epoch's pruned diff
 //!   against its predecessor (a **diff record**);
@@ -21,6 +22,13 @@
 //! checkpoint run. The scanner only believes whole units — a checkpoint
 //! missing its `done` page is as torn as half a record, because
 //! replaying it would materialize a state no epoch ever had.
+//!
+//! A record whose checksum passes but whose non-empty body does not
+//! decode (an unknown tag, a retired envelope version) is no crash
+//! artefact: a torn append cannot produce a matching checksum. The
+//! scanner reports it as corrupt, and recovery refuses the log instead
+//! of truncating the record — and everything after it — away. An empty
+//! body (a zero-filled tail: length `0`, checksum `0`) is still torn.
 
 use pathcopy_core::DiffEntry;
 use pathcopy_server::proto::{Epoch, Response, MAX_FRAME_LEN};
@@ -93,6 +101,9 @@ pub(crate) enum Tail {
     /// checkpoint missing its final page, …). Legal only at the tail of
     /// the *last* segment, where it is truncated away.
     Torn(&'static str),
+    /// A checksummed, non-empty record body that does not decode: not
+    /// a crash artefact, so an error in any segment, never truncated.
+    Corrupt(&'static str),
 }
 
 /// A scanned segment: its complete units, the byte length they cover,
@@ -149,7 +160,14 @@ pub(crate) fn scan_segment(buf: &[u8], keep_payloads: bool) -> Scan {
         }
         let resp = match Response::decode(body) {
             Ok(r) => r,
-            Err(_) => return torn(units, clean, "undecodable record body"),
+            Err(_) if body.is_empty() => return torn(units, clean, "empty record body"),
+            Err(_) => {
+                return Scan {
+                    units,
+                    clean_len: clean as u64,
+                    tail: Tail::Corrupt("checksummed record body does not decode"),
+                }
+            }
         };
         pos += RECORD_HEADER_LEN + len;
         match resp {
@@ -250,6 +268,29 @@ mod tests {
         assert!(scan.units.is_empty());
         assert_eq!(scan.clean_len, 0);
         assert!(matches!(scan.tail, Tail::Torn("record checksum mismatch")));
+    }
+
+    #[test]
+    fn undecodable_checksummed_body_is_corrupt_but_an_empty_one_is_torn() {
+        let mut buf = diff_record(1);
+        let clean = buf.len() as u64;
+        // A zero-filled tail reads as an empty record with a matching
+        // checksum (`crc32` of nothing is 0): a crash artefact.
+        let mut zeroed = buf.clone();
+        zeroed.extend([0u8; 16]);
+        let scan = scan_segment(&zeroed, true);
+        assert_eq!(scan.clean_len, clean);
+        assert!(matches!(scan.tail, Tail::Torn("empty record body")));
+        // A non-empty body with an unknown tag is not.
+        let mut body = vec![pathcopy_server::proto::PROTO_VERSION];
+        body.extend(0u64.to_le_bytes());
+        body.push(0xEE);
+        buf.extend(encode_record(&body));
+        buf.extend(diff_record(2));
+        let scan = scan_segment(&buf, true);
+        assert_eq!(scan.units.len(), 1);
+        assert_eq!(scan.clean_len, clean);
+        assert!(matches!(scan.tail, Tail::Corrupt(_)));
     }
 
     #[test]

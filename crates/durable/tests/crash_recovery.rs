@@ -132,7 +132,7 @@ proptest! {
                     }
                 }
             }
-            primary.feed.publish(primary.backend.snapshot());
+            primary.feed.publish_with(|| primary.backend.snapshot(), None);
             states.push(oracle.clone());
         }
         prop_assert_eq!(primary.persister.error_count(), 0);
@@ -198,7 +198,9 @@ fn torn_tail_garbage_is_truncated_and_appends_resume() {
         let primary = logged_primary(&dir, config.clone(), 8);
         for k in 1..=3i64 {
             primary.backend.insert(k, k * 10);
-            primary.feed.publish(primary.backend.snapshot());
+            primary
+                .feed
+                .publish_with(|| primary.backend.snapshot(), None);
         }
         assert_eq!(primary.log.head(), 3);
     }
@@ -229,6 +231,62 @@ fn torn_tail_garbage_is_truncated_and_appends_resume() {
 }
 
 #[test]
+fn checksummed_undecodable_record_is_corrupt_not_truncated() {
+    // Two record bodies whose checksums pass but which do not decode:
+    // a v3 body with an unknown response tag, and a version-2 body of
+    // an otherwise well-formed `EpochDiff` for the next epoch (the
+    // retired envelope). A torn append cannot produce either, so
+    // recovery must refuse the log rather than drop the record.
+    let mut unknown_tag = vec![3u8];
+    unknown_tag.extend(0u64.to_le_bytes()); // request id
+    unknown_tag.push(0xEE);
+    let mut version_2 = vec![2u8, 15]; // version 2, EpochDiff
+    version_2.extend(4u64.to_le_bytes()); // to: epoch 4
+    version_2.extend(0u32.to_le_bytes()); // no entries
+    let config = LogConfig {
+        fsync: false,
+        ..LogConfig::default()
+    };
+    for (what, body) in [("unknown tag", unknown_tag), ("version 2", version_2)] {
+        let dir = scratch("undecodable");
+        {
+            let primary = logged_primary(&dir, config.clone(), 8);
+            for k in 1..=3i64 {
+                primary.backend.insert(k, k * 10);
+                primary
+                    .feed
+                    .publish_with(|| primary.backend.snapshot(), None);
+            }
+            assert_eq!(primary.log.head(), 3);
+        }
+        let seg = newest_segment(&dir).unwrap();
+        {
+            use std::io::Write as _;
+            let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
+            f.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+            f.write_all(&pathcopy_durable::record::crc32(&body).to_le_bytes())
+                .unwrap();
+            f.write_all(&body).unwrap();
+        }
+        let len = std::fs::metadata(&seg).unwrap().len();
+        match EpochLog::open(&dir, config.clone()) {
+            Err(LogError::Corrupt { segment, .. }) => assert_eq!(segment, seg, "{what}"),
+            Err(e) => panic!("{what}: expected Corrupt, got {e}"),
+            Ok((_, recovered)) => panic!(
+                "{what}: recovered to head {} instead of refusing the record",
+                recovered.head
+            ),
+        }
+        assert_eq!(
+            std::fs::metadata(&seg).unwrap().len(),
+            len,
+            "{what}: the segment is left untouched"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
 fn segments_rotate_and_old_chains_retire_under_the_byte_cap() {
     let dir = scratch("retire");
     let config = LogConfig {
@@ -243,7 +301,9 @@ fn segments_rotate_and_old_chains_retire_under_the_byte_cap() {
     for e in 1..=40i64 {
         primary.backend.insert(e % 48, e);
         oracle.insert(e % 48, e);
-        primary.feed.publish(primary.backend.snapshot());
+        primary
+            .feed
+            .publish_with(|| primary.backend.snapshot(), None);
         states.push(oracle.clone());
     }
     assert_eq!(primary.persister.error_count(), 0);
@@ -287,7 +347,9 @@ fn recovered_primary_continues_the_epoch_sequence() {
         let primary = logged_primary(&dir, config.clone(), 8);
         for k in 1..=3i64 {
             primary.backend.insert(k, k);
-            primary.feed.publish(primary.backend.snapshot());
+            primary
+                .feed
+                .publish_with(|| primary.backend.snapshot(), None);
         }
     }
 
@@ -304,7 +366,11 @@ fn recovered_primary_continues_the_epoch_sequence() {
         Some(Arc::clone(&persister) as Arc<dyn FeedSink>),
     );
     backend.insert(9, 9);
-    assert_eq!(feed.publish(backend.snapshot()), 4, "no epoch reuse");
+    assert_eq!(
+        feed.publish_with(|| backend.snapshot(), None),
+        4,
+        "no epoch reuse"
+    );
     assert_eq!(persister.error_count(), 0);
     assert_eq!(log.head(), 4);
     assert_eq!(

@@ -65,29 +65,12 @@ impl Recorder {
     /// Records the nanoseconds elapsed since `started` (from
     /// [`start`](Self::start) on any recorder of the same enablement)
     /// and returns the new reference point, so consecutive pipeline
-    /// stages share one clock read per boundary.
-    #[inline]
-    pub fn lap(&self, started: Option<Instant>) -> Option<Instant> {
-        match (self, started) {
-            (Recorder::Enabled(hist), Some(t0)) => {
-                let now = Instant::now();
-                hist.record(u64::try_from((now - t0).as_nanos()).unwrap_or(u64::MAX));
-                Some(now)
-            }
-            _ => None,
-        }
-    }
-
-    /// [`lap`](Self::lap) with exemplar attribution: the sample also
+    /// stages share one clock read per boundary. The sample also
     /// competes to become the histogram's exemplar, carrying the
-    /// request id (and trace id, `0` when untraced) of the offender.
+    /// request id and trace id of the offender (`0` when there is
+    /// none, or the request is untraced).
     #[inline]
-    pub fn lap_tagged(
-        &self,
-        started: Option<Instant>,
-        request_id: u64,
-        trace_id: u64,
-    ) -> Option<Instant> {
+    pub fn lap(&self, started: Option<Instant>, request_id: u64, trace_id: u64) -> Option<Instant> {
         match (self, started) {
             (Recorder::Enabled(hist), Some(t0)) => {
                 let now = Instant::now();
@@ -103,17 +86,10 @@ impl Recorder {
     }
 
     /// Records the nanoseconds elapsed since `started`, discarding the
-    /// end point. Use [`lap`](Self::lap) when another stage follows.
+    /// end point, with the same exemplar attribution as
+    /// [`lap`](Self::lap). Use `lap` when another stage follows.
     #[inline]
-    pub fn record_since(&self, started: Option<Instant>) {
-        if let (Recorder::Enabled(hist), Some(t0)) = (self, started) {
-            hist.record(elapsed_ns(t0));
-        }
-    }
-
-    /// [`record_since`](Self::record_since) with exemplar attribution.
-    #[inline]
-    pub fn record_since_tagged(&self, started: Option<Instant>, request_id: u64, trace_id: u64) {
+    pub fn record_since(&self, started: Option<Instant>, request_id: u64, trace_id: u64) {
         if let (Recorder::Enabled(hist), Some(t0)) = (self, started) {
             hist.record_tagged(elapsed_ns(t0), request_id, trace_id);
         }
@@ -176,8 +152,8 @@ mod tests {
         let r = Recorder::Disabled;
         assert!(!r.is_enabled());
         assert!(r.start().is_none());
-        assert!(r.lap(None).is_none());
-        r.record_since(None);
+        assert!(r.lap(None, 0, 0).is_none());
+        r.record_since(None, 0, 0);
         r.record(42);
         assert!(r.snapshot().is_empty());
         assert!(r.histogram().is_none());
@@ -188,9 +164,9 @@ mod tests {
         let r = Recorder::enabled();
         let t0 = r.start();
         assert!(t0.is_some());
-        let t1 = r.lap(t0);
+        let t1 = r.lap(t0, 0, 0);
         assert!(t1.is_some());
-        r.record_since(t1);
+        r.record_since(t1, 7, 9);
         assert_eq!(r.snapshot().count(), 2);
     }
 

@@ -315,7 +315,7 @@ impl PushReplica {
         handle.register_metrics_source(self.metrics());
         let applied = self.applied_epoch();
         if applied > 0 {
-            handle.publish_at(applied);
+            handle.publish_at(applied, None);
         }
         let addr = handle.addr();
         self.relay = Some(handle);
@@ -384,15 +384,15 @@ impl PushReplica {
                 }
                 _ => None,
             };
-            self.mirror_traced(frame.epoch, onward.as_ref().map(|(_, _, _, child)| child));
+            self.mirror(frame.epoch, onward.as_ref().map(|(_, _, _, child)| child));
             let finished = Instant::now();
             let ns = (finished - started).as_nanos().min(u64::MAX as u128) as u64;
             self.metrics
                 .push_apply
                 .record_tagged(ns, 0, frame.trace.map_or(0, |c| c.trace_id));
             if let Some((flight, ctx, span_id, _)) = onward {
-                flight.span_with_id(
-                    span_id,
+                flight.span(
+                    Some(span_id),
                     &ctx,
                     Stage::PushApply,
                     0,
@@ -451,22 +451,17 @@ impl PushReplica {
         let (_info, sub) = self.replica.client().session().subscribe(to)?;
         self.sub = sub;
         self.stats.resubscribes += 1;
-        self.mirror(to);
+        self.mirror(to, None);
         Ok(PushOutcome::CaughtUp { to })
     }
 
     /// Mirrors `epoch` into the relay feed, if this replica serves one.
     /// `publish_at` rejects anything at or below the relay feed's
-    /// sequence on its own, so stale mirrors are naturally dropped.
-    fn mirror(&self, epoch: Epoch) {
-        self.mirror_traced(epoch, None);
-    }
-
-    /// [`mirror`](Self::mirror) carrying a trace context: the relay's
-    /// own push fan-out stamps it onto the frames it sends downstream.
-    fn mirror_traced(&self, epoch: Epoch, trace: Option<&TraceContext>) {
+    /// sequence on its own, so stale mirrors are naturally dropped. A
+    /// `trace` context rides the relay's own push frames downstream.
+    fn mirror(&self, epoch: Epoch, trace: Option<&TraceContext>) {
         if let Some(relay) = &self.relay {
-            relay.publish_at_traced(epoch, trace);
+            relay.publish_at(epoch, trace);
         }
     }
 }

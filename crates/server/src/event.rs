@@ -55,8 +55,8 @@ use crate::backend::ServeSnapshot;
 use crate::feed::EpochFanout;
 use crate::poll::{Interest, PollEvent, Poller};
 use crate::proto::{
-    response_frame, response_frame_traced, Epoch, Request, RequestId, Response, WireError,
-    MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_V2, PROTO_VERSION, PUSH_ID_BASE,
+    response_frame, Epoch, Framed, Request, RequestId, Response, WireError, MAX_FRAME_LEN,
+    PROTO_TRACE_FLAG, PROTO_VERSION, PUSH_ID_BASE,
 };
 use crate::server::{handle_request, Shared};
 
@@ -185,16 +185,6 @@ impl EpochFanout for PushHub {
         prev: Option<&Arc<dyn ServeSnapshot>>,
         epoch: Epoch,
         snap: &Arc<dyn ServeSnapshot>,
-    ) {
-        self.on_epoch_traced(from, prev, epoch, snap, None);
-    }
-
-    fn on_epoch_traced(
-        &self,
-        from: Epoch,
-        prev: Option<&Arc<dyn ServeSnapshot>>,
-        epoch: Epoch,
-        snap: &Arc<dyn ServeSnapshot>,
         trace: Option<&TraceContext>,
     ) {
         // The epoch is already in the ring: a parked read woken now
@@ -236,7 +226,7 @@ impl EpochFanout for PushHub {
         // A traced publish stamps its context into every push frame's
         // envelope, so a subscriber's apply span joins the publisher's
         // trace (parented under the publisher's execute span).
-        let frame = response_frame_traced(&resp, PROTO_VERSION, PUSH_ID_BASE | epoch, trace);
+        let frame = response_frame(&resp, PUSH_ID_BASE | epoch, trace);
         for conn in subs {
             self.pushes.fetch_add(1, Ordering::Relaxed);
             self.post(conn, frame.clone());
@@ -247,7 +237,6 @@ impl EpochFanout for PushHub {
 /// An admitted request's envelope and stage clock: what the loop needs
 /// to encode its reply and close its execute and write/flush stages.
 struct Admitted {
-    version: u8,
     request_id: RequestId,
     tag: u8,
     /// When the request was decoded. `None` unless metrics are on or
@@ -313,10 +302,6 @@ struct Conn {
     closing: bool,
     /// The interest currently registered with the poller.
     interest: Interest,
-    /// Envelope version of the last frame that decoded, so
-    /// framing-level errors (where the broken frame names no usable
-    /// version) are answered in the dialect the peer last spoke.
-    last_version: u8,
 }
 
 impl Conn {
@@ -329,7 +314,6 @@ impl Conn {
             in_flight: 0,
             closing: false,
             interest: Interest::READ,
-            last_version: PROTO_VERSION,
         }
     }
 }
@@ -617,12 +601,11 @@ impl EventLoop {
                 u32::from_le_bytes(conn.rbuf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
             if len > MAX_FRAME_LEN as usize || len < 2 {
                 // The length prefix itself is broken: no envelope to
-                // echo, answer in the peer's last-known dialect and
-                // stop trusting the stream.
+                // echo, answer with id 0 and stop trusting the stream.
                 conn.outq.push_back(OutFrame::plain(response_frame(
                     &Response::Error(WireError::Malformed),
-                    conn.last_version,
                     0,
+                    None,
                 )));
                 conn.closing = true;
                 break;
@@ -632,24 +615,13 @@ impl EventLoop {
             }
             let body = &conn.rbuf[pos + 4..pos + 4 + len];
             pos += 4 + len;
-            let (version, request_id) = peek_envelope(body, conn.last_version);
             match Request::decode_enveloped(body) {
-                Ok(framed) => {
-                    conn.last_version = framed.version;
-                    self.dispatch(
-                        token,
-                        conn,
-                        framed.version,
-                        framed.request_id,
-                        framed.msg,
-                        framed.trace,
-                    );
-                }
+                Ok(framed) => self.dispatch(token, conn, framed),
                 Err(_) => {
                     conn.outq.push_back(OutFrame::plain(response_frame(
                         &Response::Error(WireError::Malformed),
-                        version,
-                        request_id,
+                        peek_request_id(body),
+                        None,
                     )));
                     conn.closing = true;
                     break;
@@ -665,17 +637,14 @@ impl EventLoop {
 
     /// Admission control, then run the request to completion — or park
     /// it, for a `GetAt` whose watermark is not yet published.
-    fn dispatch(
-        &mut self,
-        token: u64,
-        conn: &mut Conn,
-        version: u8,
-        request_id: RequestId,
-        req: Request,
-        trace: Option<TraceContext>,
-    ) {
+    fn dispatch(&mut self, token: u64, conn: &mut Conn, framed: Framed<Request>) {
+        let Framed {
+            request_id,
+            trace,
+            msg: req,
+        } = framed;
         if let Request::SubscribePush { from } = req {
-            self.subscribe_push(token, conn, version, request_id, from);
+            self.subscribe_push(token, conn, request_id, from);
             return;
         }
         let depth = self.tunables.queue_depth.max(1);
@@ -683,8 +652,8 @@ impl EventLoop {
             self.shared.shed.fetch_add(1, Ordering::Relaxed);
             conn.outq.push_back(OutFrame::plain(response_frame(
                 &Response::Error(WireError::Busy(depth as u64)),
-                version,
                 request_id,
+                None,
             )));
             return;
         }
@@ -705,7 +674,6 @@ impl EventLoop {
             _ => None,
         };
         let admitted = Admitted {
-            version,
             request_id,
             tag: req.tag_byte(),
             started,
@@ -739,7 +707,6 @@ impl EventLoop {
     /// and encodes the reply; closes the execute stage.
     fn execute(&self, req: Request, admitted: Admitted) -> OutFrame {
         let Admitted {
-            version,
             request_id,
             tag,
             started,
@@ -751,18 +718,18 @@ impl EventLoop {
         }))
         .unwrap_or(Response::Error(WireError::Internal));
         let epoch = response_epoch(&resp);
-        let bytes = response_frame(&resp, version, request_id);
+        let bytes = response_frame(&resp, request_id, None);
         let trace_id = trace.map_or(0, |(ctx, _)| ctx.trace_id);
         let encoded = self
             .shared
             .metrics
             .execute(tag)
-            .lap_tagged(started, request_id, trace_id)
+            .lap(started, request_id, trace_id)
             .or_else(|| started.map(|_| Instant::now()));
         if let (Some(flight), Some((ctx, span)), Some(t0), Some(t1)) =
             (self.shared.trace.flight(), trace, started, encoded)
         {
-            flight.span_with_id(span, &ctx, Stage::Execute, tag, epoch, t0, t1);
+            flight.span(Some(span), &ctx, Stage::Execute, tag, epoch, t0, t1);
         }
         OutFrame {
             bytes,
@@ -780,30 +747,14 @@ impl EventLoop {
     /// against the fan-out: the ack and any catch-up frame are queued
     /// *before* the first live push for this connection can land (live
     /// pushes travel the hub's queue, which is drained after dispatch).
-    fn subscribe_push(
-        &mut self,
-        token: u64,
-        conn: &mut Conn,
-        version: u8,
-        request_id: RequestId,
-        from: Epoch,
-    ) {
-        if version == PROTO_V2 {
-            // A v2 peer cannot tell an unsolicited frame from a reply.
-            conn.outq.push_back(OutFrame::plain(response_frame(
-                &Response::Error(WireError::Malformed),
-                version,
-                request_id,
-            )));
-            return;
-        }
+    fn subscribe_push(&mut self, token: u64, conn: &mut Conn, request_id: RequestId, from: Epoch) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         self.shared.push.register(token);
         let info = self.shared.feed.info();
         conn.outq.push_back(OutFrame::plain(response_frame(
             &Response::SubscribeAck(info),
-            version,
             request_id,
+            None,
         )));
         // Catch-up: a subscriber registering behind the head gets one
         // synthetic push covering `from → head`, provided `from` is
@@ -826,8 +777,8 @@ impl EventLoop {
                         epoch: head,
                         entries,
                     },
-                    PROTO_VERSION,
                     PUSH_ID_BASE | head,
+                    None,
                 )));
             }
         }
@@ -884,7 +835,7 @@ impl EventLoop {
         self.shared
             .metrics
             .write_flush(reply.tag)
-            .record_since_tagged(reply.encoded, 0, trace_id);
+            .record_since(reply.encoded, 0, trace_id);
         if let (Some(flight), Some((ctx, epoch)), Some(t0), Some(t1)) = (
             self.shared.trace.flight(),
             reply.trace,
@@ -892,7 +843,7 @@ impl EventLoop {
             reply.encoded,
         ) {
             let now = Instant::now();
-            flight.span(&ctx, Stage::WriteFlush, reply.tag, epoch, t1, now);
+            flight.span(None, &ctx, Stage::WriteFlush, reply.tag, epoch, t1, now);
             // The request is over on this node: decoded → last byte
             // out. A slow one gets its span chain pinned.
             let total = now
@@ -921,20 +872,16 @@ fn response_epoch(resp: &Response) -> u64 {
     }
 }
 
-/// Best-effort envelope peek for error replies when full decoding
-/// fails: enough of a v3/v2 head (traced or not) to echo the right
-/// version and id, or the fallback version with id `0`.
-fn peek_envelope(body: &[u8], fallback_version: u8) -> (u8, RequestId) {
+/// Best-effort id peek for the error reply when full decoding fails:
+/// the request id of a v3 head (traced or not), or `0` when the body
+/// has none — a bad version byte, or too short to hold one.
+fn peek_request_id(body: &[u8]) -> RequestId {
     match body.first() {
         Some(&v)
             if (v == PROTO_VERSION || v == PROTO_VERSION | PROTO_TRACE_FLAG) && body.len() >= 9 =>
         {
-            (
-                PROTO_VERSION,
-                u64::from_le_bytes(body[1..9].try_into().expect("8 bytes")),
-            )
+            u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"))
         }
-        Some(&PROTO_V2) => (PROTO_V2, 0),
-        _ => (fallback_version, 0),
+        _ => 0,
     }
 }

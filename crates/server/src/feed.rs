@@ -33,38 +33,26 @@ use crate::proto::{Epoch, FeedInfo};
 /// it). Fired under the feed lock, after the sink.
 pub(crate) trait EpochFanout: Send + Sync + 'static {
     /// Called once per epoch that lands in the feed. `from` is the
-    /// epoch `prev` belongs to (`0` when `prev` is `None`).
+    /// epoch `prev` belongs to (`0` when `prev` is `None`); `trace` is
+    /// the context of the publish that produced the epoch, when that
+    /// publish was traced.
     fn on_epoch(
         &self,
         from: Epoch,
         prev: Option<&Arc<dyn ServeSnapshot>>,
         epoch: Epoch,
         snap: &Arc<dyn ServeSnapshot>,
-    );
-
-    /// [`on_epoch`](Self::on_epoch) with the trace context of the
-    /// publish that produced the epoch, when the publish was traced.
-    /// Default: drop the context and delegate, so fan-outs that predate
-    /// tracing keep working (the trace just ends at them).
-    fn on_epoch_traced(
-        &self,
-        from: Epoch,
-        prev: Option<&Arc<dyn ServeSnapshot>>,
-        epoch: Epoch,
-        snap: &Arc<dyn ServeSnapshot>,
         trace: Option<&TraceContext>,
-    ) {
-        let _ = trace;
-        self.on_epoch(from, prev, epoch, snap);
-    }
+    );
 }
 
-/// An observer of epoch publication, called by [`VersionFeed::publish`]
-/// for every new epoch — the primary's durability hook.
+/// An observer of epoch publication, called by
+/// [`VersionFeed::publish_with`] for every new epoch — the primary's
+/// durability hook.
 ///
 /// The sink runs **under the feed lock**, after the epoch is assigned
-/// and inserted but before `publish` returns. That gives two guarantees
-/// a write-ahead log needs and cannot reconstruct afterwards:
+/// and inserted but before `publish_with` returns. That gives two
+/// guarantees a write-ahead log needs and cannot reconstruct afterwards:
 ///
 /// * **ordering** — sinks observe epochs in exactly the order they were
 ///   assigned, with no gaps and no interleaving;
@@ -86,29 +74,16 @@ pub trait FeedSink: Send + Sync + 'static {
     /// Called once per published epoch. `prev` is the previous epoch's
     /// snapshot (`None` for the first epoch this feed ever assigned), so
     /// a sink can compute `prev.diff(snap)` — the same pruned diff
-    /// `PullDiff` would serve.
+    /// `PullDiff` would serve. `trace` is the context of the publish,
+    /// when it was traced: a tracing sink (the durable persister)
+    /// records its append+fsync as a span of that trace.
     fn on_publish(
         &self,
         epoch: Epoch,
         prev: Option<&Arc<dyn ServeSnapshot>>,
         snap: &Arc<dyn ServeSnapshot>,
-    );
-
-    /// [`on_publish`](Self::on_publish) with the trace context of the
-    /// traced publish that produced the epoch. Default: drop the
-    /// context and delegate, so sinks that predate tracing keep
-    /// compiling; a tracing sink (the durable persister) overrides this
-    /// to record its append+fsync as a span of the publish's trace.
-    fn on_publish_traced(
-        &self,
-        epoch: Epoch,
-        prev: Option<&Arc<dyn ServeSnapshot>>,
-        snap: &Arc<dyn ServeSnapshot>,
         trace: Option<&TraceContext>,
-    ) {
-        let _ = trace;
-        self.on_publish(epoch, prev, snap);
-    }
+    );
 }
 
 /// A capped, monotone ring of published snapshots; see the module docs.
@@ -177,33 +152,26 @@ impl VersionFeed {
         let _ = self.fanout.set(fanout);
     }
 
-    /// Publishes `snap` as the next epoch, retiring the oldest retained
-    /// epoch if the ring is full. Returns the new epoch.
+    /// Publishes the snapshot `take` returns as the next epoch,
+    /// retiring the oldest retained epoch if the ring is full. Returns
+    /// the new epoch.
     ///
-    /// If the feed has a [`FeedSink`], it observes the epoch before
-    /// `publish` returns (see the trait docs for the ordering contract).
-    pub fn publish(&self, snap: Arc<dyn ServeSnapshot>) -> Epoch {
-        self.publish_with(|| snap)
-    }
-
-    /// Publishes the snapshot `take` returns as the next epoch, taking
-    /// the snapshot **under the feed lock**. This closes the
-    /// snapshot-then-number race of `publish(backend.snapshot())`:
-    /// there, a write can land between the snapshot and the lock, so an
-    /// epoch number read *after* that write could name a snapshot from
-    /// *before* it. Watermark-carrying writes ([`Request::WriteAt`](
+    /// The snapshot is taken **under the feed lock**. This closes the
+    /// snapshot-then-number race of taking it first: there, a write can
+    /// land between the snapshot and the lock, so an epoch number read
+    /// *after* that write could name a snapshot from *before* it.
+    /// Watermark-carrying writes ([`Request::WriteAt`](
     /// crate::proto::Request::WriteAt)) depend on the closed ordering:
     /// every epoch assigned after a write's watermark read contains the
     /// write.
-    pub fn publish_with(&self, take: impl FnOnce() -> Arc<dyn ServeSnapshot>) -> Epoch {
-        self.publish_with_traced(take, None)
-    }
-
-    /// [`publish_with`](Self::publish_with) carrying the trace context
-    /// of the publish request, so the sink (durable append+fsync) and
-    /// the fan-out (push frames to subscribers) can record their work
-    /// as spans of — and propagate — the same distributed trace.
-    pub fn publish_with_traced(
+    ///
+    /// If the feed has a [`FeedSink`], it observes the epoch before
+    /// this returns (see the trait docs for the ordering contract).
+    /// `trace` is the context of the publish request, when it was
+    /// traced, so the sink (durable append+fsync) and the fan-out (push
+    /// frames to subscribers) record their work as spans of — and
+    /// propagate — the same distributed trace.
+    pub fn publish_with(
         &self,
         take: impl FnOnce() -> Arc<dyn ServeSnapshot>,
         trace: Option<&TraceContext>,
@@ -220,10 +188,10 @@ impl VersionFeed {
         state.prev_epoch = epoch;
         let prev = state.prev.replace(Arc::clone(&snap));
         if let Some(sink) = &self.sink {
-            sink.on_publish_traced(epoch, prev.as_ref(), &snap, trace);
+            sink.on_publish(epoch, prev.as_ref(), &snap, trace);
         }
         if let Some(fanout) = self.fanout.get() {
-            fanout.on_epoch_traced(from, prev.as_ref(), epoch, &snap, trace);
+            fanout.on_epoch(from, prev.as_ref(), epoch, &snap, trace);
         }
         epoch
     }
@@ -239,15 +207,11 @@ impl VersionFeed {
     /// this relay and it caught up by diff), so the [`FeedSink`] — whose
     /// contract promises gap-free adjacent epochs — is **not** fired;
     /// only the push fan-out, which carries the `from` epoch explicitly,
-    /// observes mirrored publishes.
-    pub fn publish_at(&self, epoch: Epoch, snap: Arc<dyn ServeSnapshot>) -> bool {
-        self.publish_at_traced(epoch, snap, None)
-    }
-
-    /// [`publish_at`](Self::publish_at) carrying the trace context of
-    /// the upstream push being mirrored, so a relay's own push fan-out
-    /// re-serves the epoch under the same distributed trace.
-    pub fn publish_at_traced(
+    /// observes mirrored publishes. `trace` is the context of the
+    /// upstream push being mirrored, when it was traced, so a relay's
+    /// own push fan-out re-serves the epoch under the same distributed
+    /// trace.
+    pub fn publish_at(
         &self,
         epoch: Epoch,
         snap: Arc<dyn ServeSnapshot>,
@@ -266,7 +230,7 @@ impl VersionFeed {
         state.prev_epoch = epoch;
         let prev = state.prev.replace(Arc::clone(&snap));
         if let Some(fanout) = self.fanout.get() {
-            fanout.on_epoch_traced(from, prev.as_ref(), epoch, &snap, trace);
+            fanout.on_epoch(from, prev.as_ref(), epoch, &snap, trace);
         }
         true
     }
@@ -322,7 +286,7 @@ mod tests {
         );
         for expect in 1..=5u64 {
             b.insert(expect as i64, 0);
-            assert_eq!(feed.publish(snap_of(&b)), expect);
+            assert_eq!(feed.publish_with(|| snap_of(&b), None), expect);
         }
         let info = feed.info();
         assert_eq!(info.head, 5);
@@ -341,6 +305,7 @@ mod tests {
                 epoch: Epoch,
                 prev: Option<&Arc<dyn ServeSnapshot>>,
                 snap: &Arc<dyn ServeSnapshot>,
+                _trace: Option<&TraceContext>,
             ) {
                 self.0
                     .lock()
@@ -354,7 +319,7 @@ mod tests {
         let feed = VersionFeed::configured(1, 7, Some(Arc::clone(&recorder) as Arc<dyn FeedSink>));
         for k in 0..3i64 {
             b.insert(k, k);
-            assert_eq!(feed.publish(snap_of(&b)), 7 + k as u64);
+            assert_eq!(feed.publish_with(|| snap_of(&b), None), 7 + k as u64);
         }
         let seen = recorder.0.lock().clone();
         assert_eq!(seen, vec![(7, None, 1), (8, Some(1), 2), (9, Some(2), 3)]);
@@ -367,16 +332,16 @@ mod tests {
         let feed = VersionFeed::new(4);
         assert_eq!(feed.next_epoch(), 1);
         b.insert(1, 10);
-        assert!(feed.publish_at(5, snap_of(&b)), "fresh epoch lands");
+        assert!(feed.publish_at(5, snap_of(&b), None), "fresh epoch lands");
         assert_eq!(feed.info().head, 5);
         assert_eq!(feed.next_epoch(), 6);
-        assert!(!feed.publish_at(5, snap_of(&b)), "duplicate rejected");
-        assert!(!feed.publish_at(3, snap_of(&b)), "stale rejected");
+        assert!(!feed.publish_at(5, snap_of(&b), None), "duplicate rejected");
+        assert!(!feed.publish_at(3, snap_of(&b), None), "stale rejected");
         b.insert(2, 20);
-        assert!(feed.publish_at(9, snap_of(&b)), "gaps are fine");
+        assert!(feed.publish_at(9, snap_of(&b), None), "gaps are fine");
         assert_eq!((feed.info().oldest, feed.info().head), (5, 9));
         // Ordinary publish continues the mirrored sequence.
-        assert_eq!(feed.publish(snap_of(&b)), 10);
+        assert_eq!(feed.publish_with(|| snap_of(&b), None), 10);
     }
 
     #[test]
@@ -384,7 +349,7 @@ mod tests {
         let b = ShardedServe::with_shards(2);
         let feed = VersionFeed::new(4);
         b.insert(7, 70);
-        let epoch = feed.publish_with(|| b.snapshot());
+        let epoch = feed.publish_with(|| b.snapshot(), None);
         assert_eq!(epoch, 1);
         assert_eq!(feed.get(epoch).unwrap().get(7), Some(70));
     }
@@ -394,10 +359,10 @@ mod tests {
         let b = ShardedServe::with_shards(2);
         b.insert(1, 10);
         let feed = VersionFeed::new(4);
-        let e1 = feed.publish(snap_of(&b));
+        let e1 = feed.publish_with(|| snap_of(&b), None);
         b.insert(1, 99);
         b.insert(2, 20);
-        let e2 = feed.publish(snap_of(&b));
+        let e2 = feed.publish_with(|| snap_of(&b), None);
         assert_eq!(feed.get(e1).unwrap().get(1), Some(10), "epoch 1 frozen");
         assert_eq!(feed.get(e2).unwrap().get(1), Some(99));
         let diff = feed.get(e1).unwrap().diff(feed.get(e2).unwrap().as_ref());

@@ -257,7 +257,7 @@ mod tests {
         let m = ServerMetrics::new(false);
         assert!(!m.is_enabled());
         assert!(m.begin().is_none());
-        let t = m.execute(1).lap(m.begin());
+        let t = m.execute(1).lap(m.begin(), 0, 0);
         assert!(t.is_none());
         assert!(m.report().is_empty());
     }
@@ -266,7 +266,7 @@ mod tests {
     fn enabled_registry_reports_per_stage_per_tag_rows() {
         let m = ServerMetrics::new(true);
         let t0 = m.begin();
-        let t1 = m.execute(1).lap(t0);
+        let t1 = m.execute(1).lap(t0, 0, 0);
         assert!(t1.is_some());
         m.execute(2).record(50);
         m.write_flush(5).record(100);

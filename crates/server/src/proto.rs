@@ -1,30 +1,27 @@
 //! The wire protocol: length-prefixed, version-tagged binary frames.
 //!
-//! Every message travels as one frame. Version 3 (the current version)
-//! adds a correlation id to the envelope so multiple requests can be in
-//! flight on one connection:
+//! Every message travels as one frame whose envelope carries a
+//! correlation id, so multiple requests can be in flight on one
+//! connection:
 //!
 //! ```text
 //! v3:        [len: u32 LE] [version: u8 = 3] [request_id: u64 LE] [tag: u8] [payload ...]
 //! v3+trace:  [len: u32 LE] [version: u8 = 3|0x80] [request_id: u64 LE] [trace: 17 bytes] [tag: u8] [payload ...]
-//! v2:        [len: u32 LE] [version: u8 = 2] [tag: u8] [payload ...]
 //! ```
 //!
 //! where `len` counts everything after itself (version byte included).
+//! Any other version byte is rejected ([`ProtoError::BadVersion`]).
 //! The trace extension is optional per frame: setting
 //! [`PROTO_TRACE_FLAG`] on the version byte inserts a 17-byte
 //! [`TraceContext`] (trace id `u64`, parent span `u64`, flags `u8`)
 //! between the request id and the tag. Untraced frames are
-//! byte-identical to plain v3, so v2 peers and durable logs written
-//! before tracing existed stay decodable, and tracing costs zero wire
-//! bytes when off.
+//! byte-identical to plain v3, so durable logs written before tracing
+//! existed stay decodable, and tracing costs zero wire bytes when off.
+//! One writer, [`Request::encode_traced`]/[`Response::encode_traced`],
+//! builds every envelope; it takes the context as an `Option`.
 //! The server echoes each request's `request_id` on its response and may
 //! complete pipelined requests **in any order**; clients match replies
-//! to requests by id, never by arrival order. Version-2 frames (no id)
-//! are still decoded for legacy peers — they carry an implicit id of
-//! `0` and are answered in kind, but such peers must stay lock-step
-//! (one request in flight), as v2 has no way to correlate reordered
-//! replies.
+//! to requests by id, never by arrival order.
 //!
 //! Integers are fixed-width little-endian; `Option`s and `Bound`s carry a
 //! one-byte discriminant; vectors a `u32` length. There is no serde and
@@ -50,35 +47,26 @@ use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::DiffEntry;
 use pathcopy_trace::{SpanRecord, TraceContext};
 
-/// Protocol version carried in every frame; peers reject anything that
-/// is neither this nor [`PROTO_V2`].
+/// Protocol version carried in every frame; peers reject any other
+/// version byte except this one with [`PROTO_TRACE_FLAG`] set.
 ///
 /// Version 3 added the `request_id` correlation field to the envelope
 /// (pipelining) and the [`WireError::Busy`] admission-control error.
-/// Version 2 added the replication feed frames
-/// ([`Request::Publish`]/[`Request::Subscribe`]/[`Request::PullDiff`]/
-/// [`Request::FullSync`]) and the guarded flag on [`Request::Batch`].
 pub const PROTO_VERSION: u8 = 3;
-
-/// The previous protocol version, still accepted by every decoder. A v2
-/// frame has no `request_id` field; it decodes with an implicit id of
-/// `0` and the server answers it in v2 framing.
-pub const PROTO_V2: u8 = 2;
 
 /// Version-byte flag marking a v3 frame that carries a 17-byte
 /// [`TraceContext`] between its request id and its tag
-/// (`3 | 0x80 = 0x83` on the wire). Only v3 frames may set it — a
-/// legacy v2 envelope has nowhere to put the context, so traced
-/// propagation simply stops at a v2 hop. Decoders that predate tracing
+/// (`3 | 0x80 = 0x83` on the wire). Decoders that predate tracing
 /// reject the flagged byte as [`ProtoError::BadVersion`], which is the
 /// correct failure: the sender only sets the flag when the operator
 /// turned tracing on across the fleet.
 pub const PROTO_TRACE_FLAG: u8 = 0x80;
 
-/// Correlation id carried in every v3 frame. Ids are chosen by the
+/// Correlation id carried in every frame. Ids are chosen by the
 /// client (monotonically, per connection) and echoed verbatim by the
-/// server; `0` is what a legacy v2 frame decodes to. Ids with
-/// [`PUSH_ID_BASE`] set are reserved for server-initiated frames.
+/// server; `0` is the id of lock-step callers and of durable log
+/// records. Ids with [`PUSH_ID_BASE`] set are reserved for
+/// server-initiated frames.
 pub type RequestId = u64;
 
 /// The server-initiated half of the id space. A [`Response::Push`]
@@ -90,18 +78,14 @@ pub type RequestId = u64;
 /// namespace to its push channel instead of a waiter.
 pub const PUSH_ID_BASE: RequestId = 1 << 63;
 
-/// A decoded frame body together with its envelope fields — which
-/// protocol version it arrived in and its correlation id. Produced by
+/// A decoded frame body together with its envelope fields: its
+/// correlation id and trace context. Produced by
 /// [`Request::decode_enveloped`]/[`Response::decode_enveloped`]; the
-/// server uses `version` to answer each request in the framing it
-/// arrived in, and clients use `request_id` to match pipelined replies
-/// to tickets.
+/// server echoes `request_id` on its reply, and clients use it to match
+/// pipelined replies to tickets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Framed<T> {
-    /// The envelope version the frame used ([`PROTO_VERSION`] or
-    /// [`PROTO_V2`]).
-    pub version: u8,
-    /// The correlation id (`0` for v2 frames, which carry none).
+    /// The correlation id.
     pub request_id: RequestId,
     /// The trace context, when the frame's version byte carried
     /// [`PROTO_TRACE_FLAG`]; `None` for untraced frames.
@@ -244,8 +228,7 @@ pub enum Request {
     /// with [`Response::SubscribeAck`]; if `from` names a retained
     /// epoch behind the head, one catch-up `Push` covering
     /// `from → head` precedes any live pushes. Requires the v3
-    /// envelope — a v2 peer has no way to tell a push from a reply,
-    /// so the server refuses with [`WireError::Malformed`].
+    /// envelope's request id to tell a push from a reply.
     SubscribePush {
         /// The epoch the subscriber has applied (`0` = nothing yet).
         from: Epoch,
@@ -609,8 +592,8 @@ impl std::fmt::Display for WireError {
 pub enum ProtoError {
     /// The frame ended before the message did.
     Truncated,
-    /// The frame's version byte is neither [`PROTO_VERSION`] nor
-    /// [`PROTO_V2`].
+    /// The frame's version byte is not [`PROTO_VERSION`] (with or
+    /// without [`PROTO_TRACE_FLAG`]).
     BadVersion(u8),
     /// An unknown discriminant byte.
     BadTag {
@@ -635,10 +618,7 @@ impl std::fmt::Display for ProtoError {
         match self {
             ProtoError::Truncated => write!(f, "frame truncated mid-message"),
             ProtoError::BadVersion(v) => {
-                write!(
-                    f,
-                    "protocol version {v} (expected {PROTO_VERSION} or {PROTO_V2})"
-                )
+                write!(f, "protocol version {v} (expected {PROTO_VERSION})")
             }
             ProtoError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag:#04x}"),
             ProtoError::TrailingBytes { extra } => {
@@ -942,21 +922,30 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// Reads the envelope head off a frame body: the version byte, the
-/// request id for v3 (v2 frames carry none and get id `0`), and the
+/// Writes the envelope head every frame body starts with: the version
+/// byte, the request id, and — with `Some` — the trace context (the
+/// version byte then carries [`PROTO_TRACE_FLAG`]). With `None` the head
+/// is the plain v3 one.
+fn put_envelope(out: &mut Vec<u8>, id: RequestId, trace: Option<&TraceContext>) {
+    let flag = if trace.is_some() { PROTO_TRACE_FLAG } else { 0 };
+    out.push(PROTO_VERSION | flag);
+    put_u64(out, id);
+    if let Some(ctx) = trace {
+        put_trace_ctx(out, ctx);
+    }
+}
+
+/// Reads the envelope head off a frame body: the request id, and the
 /// trace context when the version byte carries [`PROTO_TRACE_FLAG`].
-/// The reported version is always the *base* version (the flag is
-/// stripped), so "answer in the framing the request arrived in" keeps
-/// working unchanged.
-fn read_envelope(cur: &mut Cur<'_>) -> Result<(u8, RequestId, Option<TraceContext>), ProtoError> {
+/// Any other version byte is [`ProtoError::BadVersion`].
+fn read_envelope(cur: &mut Cur<'_>) -> Result<(RequestId, Option<TraceContext>), ProtoError> {
     match cur.u8()? {
-        PROTO_VERSION => Ok((PROTO_VERSION, cur.u64()?, None)),
+        PROTO_VERSION => Ok((cur.u64()?, None)),
         v if v == PROTO_VERSION | PROTO_TRACE_FLAG => {
             let id = cur.u64()?;
             let ctx = cur.trace_ctx()?;
-            Ok((PROTO_VERSION, id, Some(ctx)))
+            Ok((id, Some(ctx)))
         }
-        PROTO_V2 => Ok((PROTO_V2, 0, None)),
         v => Err(ProtoError::BadVersion(v)),
     }
 }
@@ -972,38 +961,26 @@ impl Request {
     /// everywhere; pipelined sessions use
     /// [`encode_with_id`](Self::encode_with_id).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        self.encode_with_id(0, out);
+        self.encode_traced(0, None, out);
     }
 
     /// Serializes the message into a v3 frame body carrying `id`, the
     /// correlation id the server will echo on its reply.
     pub fn encode_with_id(&self, id: RequestId, out: &mut Vec<u8>) {
-        out.push(PROTO_VERSION);
-        put_u64(out, id);
+        self.encode_traced(id, None, out);
+    }
+
+    /// Serializes the message into a frame body carrying `id` and, with
+    /// `Some`, a trace context (version byte `3 | `[`PROTO_TRACE_FLAG`])
+    /// — how a tracing client stamps the root of a distributed trace
+    /// onto a request. With `None` the body is the plain v3 one. Every
+    /// request envelope is written here.
+    pub fn encode_traced(&self, id: RequestId, trace: Option<&TraceContext>, out: &mut Vec<u8>) {
+        put_envelope(out, id, trace);
         self.encode_tail(out);
     }
 
-    /// Serializes the message into a v3 frame body carrying `id` and a
-    /// trace context (version byte `3 | `[`PROTO_TRACE_FLAG`]). This is
-    /// how a tracing client stamps the root of a distributed trace onto
-    /// a request.
-    pub fn encode_traced(&self, id: RequestId, ctx: &TraceContext, out: &mut Vec<u8>) {
-        out.push(PROTO_VERSION | PROTO_TRACE_FLAG);
-        put_u64(out, id);
-        put_trace_ctx(out, ctx);
-        self.encode_tail(out);
-    }
-
-    /// Serializes the message in the legacy v2 framing (no request id).
-    /// Interop aid for talking to pre-v3 servers and for tests proving
-    /// v2 frames stay decodable; new code pipelines with
-    /// [`encode_with_id`](Self::encode_with_id).
-    pub fn encode_v2(&self, out: &mut Vec<u8>) {
-        out.push(PROTO_V2);
-        self.encode_tail(out);
-    }
-
-    /// Tag + payload, shared by every envelope version.
+    /// Tag + payload, after the envelope head.
     fn encode_tail(&self, out: &mut Vec<u8>) {
         match self {
             Request::Get { key } => {
@@ -1156,11 +1133,11 @@ impl Request {
         })
     }
 
-    /// Parses a frame body produced by [`encode`](Self::encode) (or a
-    /// legacy v2 body), rejecting bad versions, unknown tags,
-    /// truncation, and trailing bytes. The envelope fields are
-    /// discarded; use [`decode_enveloped`](Self::decode_enveloped) when
-    /// the request id matters.
+    /// Parses a frame body produced by [`encode`](Self::encode),
+    /// rejecting bad versions, unknown tags, truncation, and trailing
+    /// bytes. The envelope fields are discarded; use
+    /// [`decode_enveloped`](Self::decode_enveloped) when the request id
+    /// matters.
     ///
     /// # Errors
     ///
@@ -1171,28 +1148,26 @@ impl Request {
         Self::decode_enveloped(body).map(|f| f.msg)
     }
 
-    /// Parses a frame body keeping its envelope: the version it used
-    /// (v3 or legacy v2) and its correlation id. This is the server's
-    /// entry point — it must echo the id and answer in the same
-    /// version.
+    /// Parses a frame body keeping its envelope: its correlation id and
+    /// trace context. This is the server's entry point — it must echo
+    /// the id.
     ///
     /// # Errors
     ///
     /// As [`decode`](Self::decode).
     pub fn decode_enveloped(body: &[u8]) -> Result<Framed<Self>, ProtoError> {
         let mut cur = Cur::new(body);
-        let (version, request_id, trace) = read_envelope(&mut cur)?;
+        let (request_id, trace) = read_envelope(&mut cur)?;
         let msg = Self::decode_tail(&mut cur)?;
         cur.finish()?;
         Ok(Framed {
-            version,
             request_id,
             trace,
             msg,
         })
     }
 
-    /// Tag + payload, shared by every envelope version.
+    /// Tag + payload, after the envelope head.
     fn decode_tail(cur: &mut Cur<'_>) -> Result<Self, ProtoError> {
         let req = match cur.u8()? {
             1 => Request::Get { key: cur.i64()? },
@@ -1272,37 +1247,28 @@ impl Response {
     /// durable log stores exactly these bodies, so recovery decodes
     /// with the same [`decode`](Self::decode) the wire uses.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        self.encode_with_id(0, out);
+        self.encode_traced(0, None, out);
     }
 
     /// Serializes the message into a v3 frame body echoing `id`, the
     /// correlation id of the request being answered.
     pub fn encode_with_id(&self, id: RequestId, out: &mut Vec<u8>) {
-        out.push(PROTO_VERSION);
-        put_u64(out, id);
-        self.encode_tail(out);
+        self.encode_traced(id, None, out);
     }
 
-    /// Serializes the message into a v3 frame body echoing `id` and
-    /// carrying a trace context (version byte
-    /// `3 | `[`PROTO_TRACE_FLAG`]). The server uses it on
+    /// Serializes the message into a frame body echoing `id` and, with
+    /// `Some`, carrying a trace context (version byte
+    /// `3 | `[`PROTO_TRACE_FLAG`]). The server sets one on
     /// [`Response::Push`] frames so a traced publish propagates its
-    /// context down the push tree to every subscriber.
-    pub fn encode_traced(&self, id: RequestId, ctx: &TraceContext, out: &mut Vec<u8>) {
-        out.push(PROTO_VERSION | PROTO_TRACE_FLAG);
-        put_u64(out, id);
-        put_trace_ctx(out, ctx);
+    /// context down the push tree to every subscriber. With `None` the
+    /// body is the plain v3 one. Every response envelope is written
+    /// here.
+    pub fn encode_traced(&self, id: RequestId, trace: Option<&TraceContext>, out: &mut Vec<u8>) {
+        put_envelope(out, id, trace);
         self.encode_tail(out);
     }
 
-    /// Serializes the message in the legacy v2 framing (no request id);
-    /// the server answers v2 requests with it.
-    pub fn encode_v2(&self, out: &mut Vec<u8>) {
-        out.push(PROTO_V2);
-        self.encode_tail(out);
-    }
-
-    /// Tag + payload, shared by every envelope version.
+    /// Tag + payload, after the envelope head.
     fn encode_tail(&self, out: &mut Vec<u8>) {
         match self {
             Response::Got(v) => {
@@ -1506,10 +1472,9 @@ impl Response {
         }
     }
 
-    /// Parses a frame body produced by [`encode`](Self::encode) (or a
-    /// legacy v2 body), with the same strictness as
-    /// [`Request::decode`]. The envelope fields are discarded; a
-    /// pipelined client uses
+    /// Parses a frame body produced by [`encode`](Self::encode), with
+    /// the same strictness as [`Request::decode`]. The envelope fields
+    /// are discarded; a pipelined client uses
     /// [`decode_enveloped`](Self::decode_enveloped) to route the reply
     /// to its ticket.
     ///
@@ -1520,26 +1485,25 @@ impl Response {
         Self::decode_enveloped(body).map(|f| f.msg)
     }
 
-    /// Parses a frame body keeping its envelope — the version it used
-    /// and the request id it answers.
+    /// Parses a frame body keeping its envelope — the request id it
+    /// answers and its trace context.
     ///
     /// # Errors
     ///
     /// As [`Request::decode`].
     pub fn decode_enveloped(body: &[u8]) -> Result<Framed<Self>, ProtoError> {
         let mut cur = Cur::new(body);
-        let (version, request_id, trace) = read_envelope(&mut cur)?;
+        let (request_id, trace) = read_envelope(&mut cur)?;
         let msg = Self::decode_tail(&mut cur)?;
         cur.finish()?;
         Ok(Framed {
-            version,
             request_id,
             trace,
             msg,
         })
     }
 
-    /// Tag + payload, shared by every envelope version.
+    /// Tag + payload, after the envelope head.
     fn decode_tail(cur: &mut Cur<'_>) -> Result<Self, ProtoError> {
         let resp = match cur.u8()? {
             1 => Response::Got(cur.opt_i64()?),
@@ -1776,52 +1740,28 @@ fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ProtoError> {
     }
 }
 
-/// Writes one request frame with request id `0` (the caller flushes
-/// buffered writers).
-///
-/// # Errors
-///
-/// Any [`io::Error`] from the underlying writer.
-pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
-    write_request_with_id(w, 0, req)
-}
-
 /// Writes one request frame carrying `id`, the correlation id a
-/// pipelined session matches the reply by (the caller flushes buffered
-/// writers).
+/// pipelined session matches the reply by, and — with `Some` — a trace
+/// context (version byte `3 | `[`PROTO_TRACE_FLAG`]); with `None` the
+/// frame is plain v3. The caller flushes buffered writers.
 ///
 /// # Errors
 ///
 /// Any [`io::Error`] from the underlying writer.
-pub fn write_request_with_id<W: Write>(w: &mut W, id: RequestId, req: &Request) -> io::Result<()> {
-    let mut body = Vec::with_capacity(40);
-    req.encode_with_id(id, &mut body);
-    write_frame(w, &body)
-}
-
-/// [`write_request_with_id`] with an optional trace context: with
-/// `Some`, the envelope carries the context (version byte
-/// `3 | `[`PROTO_TRACE_FLAG`]); with `None` the frame is byte-identical
-/// to the untraced form.
-///
-/// # Errors
-///
-/// Any [`io::Error`] from the underlying writer.
-pub fn write_request_traced<W: Write>(
+pub fn write_request<W: Write>(
     w: &mut W,
     id: RequestId,
     req: &Request,
     trace: Option<&TraceContext>,
 ) -> io::Result<()> {
     let mut body = Vec::with_capacity(60);
-    match trace {
-        Some(ctx) => req.encode_traced(id, ctx, &mut body),
-        None => req.encode_with_id(id, &mut body),
-    }
+    req.encode_traced(id, trace, &mut body);
     write_frame(w, &body)
 }
 
-/// Reads one request frame; `Ok(None)` on clean connection close.
+/// Reads one request frame keeping its envelope (request id and trace
+/// context); `Ok(None)` on clean connection close. What a server loop
+/// reads.
 ///
 /// # Errors
 ///
@@ -1829,19 +1769,6 @@ pub fn write_request_traced<W: Write>(
 /// [`ProtoError::FrameTooLarge`] for an oversized length prefix,
 /// [`ProtoError::Truncated`] for a connection cut mid-frame, and any
 /// [`Request::decode`] error for a malformed body.
-pub fn read_request<R: Read>(r: &mut R) -> Result<Option<Request>, ProtoError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(body) => Request::decode(&body).map(Some),
-    }
-}
-
-/// Reads one request frame keeping its envelope (version + request id);
-/// `Ok(None)` on clean connection close. What a server loop reads.
-///
-/// # Errors
-///
-/// As [`read_request`].
 pub fn read_request_enveloped<R: Read>(r: &mut R) -> Result<Option<Framed<Request>>, ProtoError> {
     match read_frame(r)? {
         None => Ok(None),
@@ -1849,20 +1776,8 @@ pub fn read_request_enveloped<R: Read>(r: &mut R) -> Result<Option<Framed<Reques
     }
 }
 
-/// Writes one response frame with request id `0` (the caller flushes
-/// buffered writers).
-///
-/// # Errors
-///
-/// Any [`io::Error`] from the underlying writer.
-pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
-    let mut body = Vec::with_capacity(64);
-    resp.encode(&mut body);
-    write_frame(w, &body)
-}
-
 /// Writes one response frame echoing `id` (the caller flushes buffered
-/// writers). What a v3 server — or a test mocking one — answers a
+/// writers). What a server — or a test mocking one — answers a
 /// pipelined request with.
 ///
 /// # Errors
@@ -1878,72 +1793,20 @@ pub fn write_response_with_id<W: Write>(
     write_frame(w, &body)
 }
 
-/// Encodes `resp` as one complete frame — length prefix included — in
-/// the envelope `version` the request arrived in, echoing `id` on v3
-/// frames (v2 has no id field). A body over [`MAX_FRAME_LEN`] is
-/// replaced in place by [`WireError::TooLarge`] with the same envelope,
-/// so the result is always sendable and the stream always stays at a
-/// frame boundary. This is what the event-driven server queues on each
-/// connection's write buffer.
-pub fn response_frame(resp: &Response, version: u8, id: RequestId) -> Vec<u8> {
-    fn encode_versioned(resp: &Response, version: u8, id: RequestId, out: &mut Vec<u8>) {
-        if version == PROTO_V2 {
-            resp.encode_v2(out);
-        } else {
-            resp.encode_with_id(id, out);
-        }
-    }
+/// Encodes `resp` as one complete frame — length prefix included —
+/// echoing `id` and, with `Some`, carrying the trace extension
+/// ([`PROTO_TRACE_FLAG`]); with `None` the frame is plain v3. A body
+/// over [`MAX_FRAME_LEN`] is replaced in place by
+/// [`WireError::TooLarge`] with the same envelope, so the result is
+/// always sendable and the stream always stays at a frame boundary.
+/// This is what the event-driven server queues on each connection's
+/// write buffer.
+pub fn response_frame(resp: &Response, id: RequestId, trace: Option<&TraceContext>) -> Vec<u8> {
     let mut frame = vec![0u8; 4];
-    encode_versioned(resp, version, id, &mut frame);
+    resp.encode_traced(id, trace, &mut frame);
     if frame.len() - 4 > MAX_FRAME_LEN as usize {
         frame.truncate(4);
-        encode_versioned(
-            &Response::Error(WireError::TooLarge),
-            version,
-            id,
-            &mut frame,
-        );
-    }
-    let len = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame
-}
-
-/// [`response_frame`] with an optional trace context. With
-/// `Some(ctx)` on a v3 envelope the frame carries the 17-byte trace
-/// extension ([`PROTO_TRACE_FLAG`]); with `None` — or on a v2 envelope,
-/// which has nowhere to put it — the output is byte-identical to
-/// [`response_frame`].
-pub fn response_frame_traced(
-    resp: &Response,
-    version: u8,
-    id: RequestId,
-    trace: Option<&TraceContext>,
-) -> Vec<u8> {
-    fn encode_versioned(
-        resp: &Response,
-        version: u8,
-        id: RequestId,
-        trace: Option<&TraceContext>,
-        out: &mut Vec<u8>,
-    ) {
-        match trace {
-            Some(ctx) if version != PROTO_V2 => resp.encode_traced(id, ctx, out),
-            _ if version == PROTO_V2 => resp.encode_v2(out),
-            _ => resp.encode_with_id(id, out),
-        }
-    }
-    let mut frame = vec![0u8; 4];
-    encode_versioned(resp, version, id, trace, &mut frame);
-    if frame.len() - 4 > MAX_FRAME_LEN as usize {
-        frame.truncate(4);
-        encode_versioned(
-            &Response::Error(WireError::TooLarge),
-            version,
-            id,
-            trace,
-            &mut frame,
-        );
+        Response::Error(WireError::TooLarge).encode_traced(id, trace, &mut frame);
     }
     let len = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&len.to_le_bytes());
@@ -1955,7 +1818,7 @@ pub fn response_frame_traced(
 ///
 /// # Errors
 ///
-/// As [`read_request`], plus [`ProtoError::Io`] with
+/// As [`read_request_enveloped`], plus [`ProtoError::Io`] with
 /// [`io::ErrorKind::UnexpectedEof`] if the connection closes where a
 /// reply was due.
 pub fn read_response<R: Read>(r: &mut R) -> Result<Response, ProtoError> {
@@ -1975,7 +1838,7 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<Response, ProtoError> {
 ///
 /// # Errors
 ///
-/// As [`read_request`].
+/// As [`read_request_enveloped`].
 pub fn read_response_enveloped<R: Read>(r: &mut R) -> Result<Option<Framed<Response>>, ProtoError> {
     match read_frame(r)? {
         None => Ok(None),
@@ -1989,16 +1852,16 @@ mod tests {
 
     fn roundtrip_request(req: &Request) -> Request {
         let mut buf = Vec::new();
-        write_request(&mut buf, req).unwrap();
+        write_request(&mut buf, 0, req, None).unwrap();
         let mut r = &buf[..];
-        let back = read_request(&mut r).unwrap().unwrap();
+        let back = read_request_enveloped(&mut r).unwrap().unwrap().msg;
         assert!(r.is_empty(), "frame fully consumed");
         back
     }
 
     fn roundtrip_response(resp: &Response) -> Response {
         let mut buf = Vec::new();
-        write_response(&mut buf, resp).unwrap();
+        write_response_with_id(&mut buf, 0, resp).unwrap();
         let mut r = &buf[..];
         let back = read_response(&mut r).unwrap();
         assert!(r.is_empty(), "frame fully consumed");
@@ -2294,14 +2157,14 @@ mod tests {
     #[test]
     fn clean_eof_is_none_mid_frame_is_truncated() {
         let mut empty: &[u8] = &[];
-        assert!(matches!(read_request(&mut empty), Ok(None)));
+        assert!(matches!(read_request_enveloped(&mut empty), Ok(None)));
 
         let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Stats).unwrap();
+        write_request(&mut buf, 0, &Request::Stats, None).unwrap();
         for cut in 1..buf.len() {
             let mut r = &buf[..cut];
             assert!(
-                matches!(read_request(&mut r), Err(ProtoError::Truncated)),
+                matches!(read_request_enveloped(&mut r), Err(ProtoError::Truncated)),
                 "cut at {cut} must be Truncated"
             );
         }
@@ -2311,6 +2174,9 @@ mod tests {
     fn bad_version_and_bad_tag_are_rejected() {
         let err = Request::decode(&[PROTO_VERSION + 1, 1]).unwrap_err();
         assert!(matches!(err, ProtoError::BadVersion(_)));
+        // The retired version-2 envelope is rejected like any other.
+        let err = Response::decode(&[2, 1, 0]).unwrap_err();
+        assert!(matches!(err, ProtoError::BadVersion(2)));
 
         // v3 envelope: version, 8 id bytes, then a bogus tag.
         let mut body = vec![PROTO_VERSION];
@@ -2346,8 +2212,8 @@ mod tests {
         for id in [0u64, 1, 42, u64::MAX] {
             let mut body = Vec::new();
             Request::Get { key: 9 }.encode_with_id(id, &mut body);
+            assert_eq!(body[0], PROTO_VERSION);
             let framed = Request::decode_enveloped(&body).unwrap();
-            assert_eq!(framed.version, PROTO_VERSION);
             assert_eq!(framed.request_id, id);
             assert_eq!(framed.msg, Request::Get { key: 9 });
 
@@ -2360,24 +2226,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_frames_still_decode_with_id_zero() {
-        let req = Request::Insert { key: 1, value: 2 };
-        let mut body = Vec::new();
-        req.encode_v2(&mut body);
-        assert_eq!(body[0], PROTO_V2);
-        let framed = Request::decode_enveloped(&body).unwrap();
-        assert_eq!((framed.version, framed.request_id), (PROTO_V2, 0));
-        assert_eq!(framed.msg, req);
-
-        let resp = Response::Inserted(None);
-        let mut body = Vec::new();
-        resp.encode_v2(&mut body);
-        let framed = Response::decode_enveloped(&body).unwrap();
-        assert_eq!((framed.version, framed.request_id), (PROTO_V2, 0));
-        assert_eq!(framed.msg, resp);
-    }
-
-    #[test]
     fn traced_envelope_roundtrips_and_untraced_stays_byte_identical() {
         let ctx = TraceContext {
             trace_id: 0xAB_CD,
@@ -2385,35 +2233,27 @@ mod tests {
             flags: TraceContext::SAMPLED | TraceContext::SLOW,
         };
         let mut body = Vec::new();
-        Request::Publish.encode_traced(7, &ctx, &mut body);
+        Request::Publish.encode_traced(7, Some(&ctx), &mut body);
         assert_eq!(body[0], PROTO_VERSION | PROTO_TRACE_FLAG);
         assert_eq!(body.len(), 1 + 8 + TraceContext::WIRE_BYTES + 1);
         let framed = Request::decode_enveloped(&body).unwrap();
-        // The flag is stripped: downstream "answer in the arriving
-        // version" logic sees plain v3.
-        assert_eq!(framed.version, PROTO_VERSION);
         assert_eq!(framed.request_id, 7);
         assert_eq!(framed.trace, Some(ctx));
         assert_eq!(framed.msg, Request::Publish);
 
-        let frame = response_frame_traced(&Response::Published(9), PROTO_VERSION, 3, Some(&ctx));
+        let frame = response_frame(&Response::Published(9), 3, Some(&ctx));
         let framed = Response::decode_enveloped(&frame[4..]).unwrap();
         assert_eq!(framed.trace, Some(ctx));
         assert_eq!(framed.msg, Response::Published(9));
 
-        // No context → byte-identical to the untraced encoder, so
+        // No context → byte-identical to the plain v3 body, so
         // tracing-off costs nothing on the wire.
-        let plain = response_frame_traced(&Response::Published(9), PROTO_VERSION, 3, None);
-        assert_eq!(
-            plain,
-            response_frame(&Response::Published(9), PROTO_VERSION, 3)
-        );
-
-        // A v2 envelope has nowhere to put the context: it is dropped,
-        // not smuggled, and the legacy peer decodes a plain v2 frame.
-        let v2 = response_frame_traced(&Response::Published(9), PROTO_V2, 3, Some(&ctx));
-        assert_eq!(v2, response_frame(&Response::Published(9), PROTO_V2, 3));
-        assert_eq!(Response::decode_enveloped(&v2[4..]).unwrap().trace, None);
+        let plain = response_frame(&Response::Published(9), 3, None);
+        let mut body = vec![PROTO_VERSION];
+        put_u64(&mut body, 3);
+        body.extend([13, 9, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(plain[4..], body[..]);
+        assert_eq!(Response::decode_enveloped(&plain[4..]).unwrap().trace, None);
     }
 
     #[test]
@@ -2428,22 +2268,19 @@ mod tests {
 
     #[test]
     fn response_frame_is_versioned_and_substitutes_too_large() {
-        // v3: the id comes back; v2: no id field at all.
-        let frame = response_frame(&Response::Got(None), PROTO_VERSION, 9);
+        // The id comes back in a v3 envelope.
+        let frame = response_frame(&Response::Got(None), 9, None);
         let body = &frame[4..];
+        assert_eq!(body[0], PROTO_VERSION);
         let framed = Response::decode_enveloped(body).unwrap();
-        assert_eq!((framed.version, framed.request_id), (PROTO_VERSION, 9));
-
-        let frame = response_frame(&Response::Got(None), PROTO_V2, 9);
-        let framed = Response::decode_enveloped(&frame[4..]).unwrap();
-        assert_eq!((framed.version, framed.request_id), (PROTO_V2, 0));
+        assert_eq!(framed.request_id, 9);
 
         // An overflowing body becomes TooLarge with the same envelope.
         let huge = Response::Entries {
             entries: vec![(0, 0); (MAX_FRAME_LEN as usize / 16) + 1],
             complete: true,
         };
-        let frame = response_frame(&huge, PROTO_VERSION, 7);
+        let frame = response_frame(&huge, 7, None);
         let framed = Response::decode_enveloped(&frame[4..]).unwrap();
         assert_eq!(framed.request_id, 7);
         assert_eq!(framed.msg, Response::Error(WireError::TooLarge));
@@ -2488,7 +2325,7 @@ mod tests {
         buf.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
         let mut r = &buf[..];
         assert!(matches!(
-            read_request(&mut r),
+            read_request_enveloped(&mut r),
             Err(ProtoError::FrameTooLarge(_))
         ));
     }
@@ -2501,7 +2338,7 @@ mod tests {
             complete: true,
         };
         let mut buf = Vec::new();
-        let err = write_response(&mut buf, &huge).unwrap_err();
+        let err = write_response_with_id(&mut buf, 0, &huge).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(buf.is_empty(), "stream must stay at a frame boundary");
     }

@@ -432,21 +432,15 @@ impl ServerHandle {
     /// under `epoch` — an upstream's epoch number, not this feed's next
     /// in sequence. This is how a relay republishes each applied epoch
     /// so its own subscribers and watermarked reads see the primary's
-    /// epoch sequence; see [`VersionFeed::publish_at`]. Returns `false`
-    /// if `epoch` is already behind this feed.
-    pub fn publish_at(&self, epoch: Epoch) -> bool {
+    /// epoch sequence; see [`VersionFeed::publish_at`]. `trace` is the
+    /// context of the upstream push being mirrored, when it was traced,
+    /// so the relay's own push fan-out re-serves the epoch under the
+    /// same distributed trace. Returns `false` if `epoch` is already
+    /// behind this feed.
+    pub fn publish_at(&self, epoch: Epoch, trace: Option<&TraceContext>) -> bool {
         self.shared
             .feed
-            .publish_at(epoch, self.shared.backend.snapshot())
-    }
-
-    /// [`publish_at`](Self::publish_at) carrying the trace context of
-    /// the upstream push being mirrored, so the relay's own push
-    /// fan-out re-serves the epoch under the same distributed trace.
-    pub fn publish_at_traced(&self, epoch: Epoch, trace: Option<&TraceContext>) -> bool {
-        self.shared
-            .feed
-            .publish_at_traced(epoch, self.shared.backend.snapshot(), trace)
+            .publish_at(epoch, self.shared.backend.snapshot(), trace)
     }
 
     /// This node's trace flight recorder, when one was configured
@@ -573,7 +567,7 @@ pub(crate) fn handle_request(
         Request::Publish => Response::Published(
             shared
                 .feed
-                .publish_with_traced(|| shared.backend.snapshot(), trace),
+                .publish_with(|| shared.backend.snapshot(), trace),
         ),
         Request::Subscribe => Response::FeedInfo(shared.feed.info()),
         Request::PullDiff { from } => {
@@ -617,7 +611,7 @@ pub(crate) fn handle_request(
                     Some((e, snap)) => (e, snap),
                     None => {
                         let snap = shared.backend.snapshot();
-                        (shared.feed.publish(Arc::clone(&snap)), snap)
+                        (shared.feed.publish_with(|| Arc::clone(&snap), None), snap)
                     }
                 },
                 Some(e) => match shared.feed.get(e) {
@@ -968,6 +962,35 @@ mod tests {
         // The server then closes the stream.
         let mut rest = Vec::new();
         assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn version_2_frame_is_answered_malformed_and_closed() {
+        use std::io::{Read as _, Write as _};
+        let server = sharded_server();
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        // A well-formed `Get` in the retired version-2 envelope:
+        // `[version = 2][tag][payload]`, no request id.
+        let mut body = vec![2u8, 1];
+        body.extend(7i64.to_le_bytes());
+        raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+        raw.write_all(&body).unwrap();
+        // Only a v3 envelope decodes; this one is untraced with id 0.
+        let framed = crate::proto::read_response_enveloped(&mut raw)
+            .unwrap()
+            .expect("a reply");
+        assert_eq!((framed.request_id, framed.trace), (0, None));
+        assert_eq!(framed.msg, Response::Error(WireError::Malformed));
+        // The server then closes that connection ...
+        let mut rest = Vec::new();
+        assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0);
+        // ... and keeps serving others.
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert_eq!(c.insert(7, 70).unwrap(), None);
+        assert_eq!(c.get(7).unwrap(), Some(70));
         server.shutdown();
     }
 

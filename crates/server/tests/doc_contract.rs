@@ -11,8 +11,8 @@ use std::ops::Bound;
 
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_server::proto::{
-    FeedInfo, Request, Response, ServerGauges, StageSummary, WireError, WireStats, MAX_FRAME_LEN,
-    PROTO_TRACE_FLAG, PROTO_V2, PROTO_VERSION, PUSH_ID_BASE, SYNC_PAGE_MAX_ENTRIES,
+    FeedInfo, ProtoError, Request, Response, ServerGauges, StageSummary, WireError, WireStats,
+    MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_VERSION, PUSH_ID_BASE, SYNC_PAGE_MAX_ENTRIES,
 };
 use pathcopy_server::{SpanRecord, TraceContext};
 
@@ -49,8 +49,15 @@ fn constants_quoted_in_the_doc_match_the_code() {
         "doc must quote the current protocol version"
     );
     assert!(
-        doc.contains(&format!("`PROTO_V2 = {PROTO_V2}`")),
-        "doc must quote the accepted legacy version"
+        doc.contains("reject any other value"),
+        "doc must state that every other version byte is rejected"
+    );
+    let mut body = Vec::new();
+    Request::Stats.encode(&mut body);
+    body[0] = 2;
+    assert!(
+        matches!(Request::decode(&body), Err(ProtoError::BadVersion(2))),
+        "the retired version 2 is one of those values"
     );
     assert_eq!(MAX_FRAME_LEN, 16 << 20, "doc states the cap as 16 MiB");
     assert!(
@@ -312,15 +319,15 @@ fn traced_envelope_matches_the_doc() {
     let mut traced = Vec::new();
     let mut plain = Vec::new();
     let req = Request::Publish;
-    req.encode_traced(5, &ctx, &mut traced);
+    req.encode_traced(5, Some(&ctx), &mut traced);
     req.encode_with_id(5, &mut plain);
     assert_eq!(traced[0], PROTO_VERSION | PROTO_TRACE_FLAG);
     assert_eq!(traced.len(), plain.len() + 17);
     assert_eq!(traced[1..9], plain[1..9], "same request id");
     assert_eq!(traced[9 + 17..], plain[9..], "same tag + payload");
-    // And the decoder strips the flag, reporting base version 3.
+    // And the decoder reads the context and the same request id back.
     let framed = Request::decode_enveloped(&traced).expect("traced frame decodes");
-    assert_eq!(framed.version, PROTO_VERSION);
+    assert_eq!(framed.request_id, 5);
     assert_eq!(framed.trace, Some(ctx));
 }
 
@@ -340,29 +347,6 @@ fn trace_dump_row_layout_matches_the_doc() {
     }
     .encode(&mut body);
     assert_eq!(body.len(), 1 + 8 + 1 + 4 + 4 + 7 * 8, "one 56-byte span");
-}
-
-#[test]
-fn legacy_v2_envelope_matches_the_doc() {
-    let doc = doc();
-    // The doc's v2 diagram: no request_id field between version and tag.
-    assert!(
-        doc.contains("`[version: u8 = 2] [tag: u8] [payload ...]`"),
-        "doc must show the legacy v2 body layout"
-    );
-    // encode_v2 really emits that layout with the same tag numbers as
-    // v3, and it round-trips through the v3-aware decoder with id 0.
-    let mut v2 = Vec::new();
-    let mut v3 = Vec::new();
-    let req = Request::Stats;
-    req.encode_v2(&mut v2);
-    req.encode(&mut v3);
-    assert_eq!(v2[0], PROTO_V2);
-    assert_eq!(v2[1], v3[9], "v2 and v3 share tag numbers");
-    let framed = Request::decode_enveloped(&v2).expect("v2 decodes");
-    assert_eq!(framed.version, PROTO_V2);
-    assert_eq!(framed.request_id, 0, "v2 frames carry implicit id 0");
-    assert_eq!(framed.msg, req);
 }
 
 #[test]

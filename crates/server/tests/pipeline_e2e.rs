@@ -83,7 +83,7 @@ proptest! {
             })
             .collect();
         for (key, ticket) in tickets {
-            match ticket.wait().expect("response") {
+            match wait_bounded(ticket, REPLY_LIMIT).expect("response") {
                 Response::Got(v) => prop_assert_eq!(v, Some(key)),
                 other => panic!("unexpected {other:?}"),
             }
@@ -170,15 +170,13 @@ fn saturated_queue_sheds_busy_without_corrupting_in_flight_replies() {
     let session = Session::connect(server.addr()).expect("connect");
     for k in 0..FLOOD {
         // Writes are fast in SlowBackend; serial so none can shed.
-        match session
+        let insert = session
             .submit(&Request::Insert {
                 key: k,
                 value: k * 3,
             })
-            .expect("submit insert")
-            .wait()
-            .expect("insert")
-        {
+            .expect("submit insert");
+        match wait_bounded(insert, REPLY_LIMIT).expect("insert") {
             Response::Inserted(_) => {}
             other => panic!("unexpected {other:?}"),
         }
@@ -191,7 +189,7 @@ fn saturated_queue_sheds_busy_without_corrupting_in_flight_replies() {
     let mut served = 0usize;
     let mut shed = 0usize;
     for (k, ticket) in tickets {
-        match ticket.wait() {
+        match wait_bounded(ticket, REPLY_LIMIT) {
             // Every reply that wasn't shed must carry the value for
             // ITS key — shedding must not shift the pairing.
             Ok(Response::Got(v)) => {
@@ -217,12 +215,10 @@ fn saturated_queue_sheds_busy_without_corrupting_in_flight_replies() {
     assert_eq!(server.requests_shed(), shed as u64);
 
     // The connection survives shedding: a fresh round trip still works.
-    match session
+    let after = session
         .submit(&Request::Get { key: 0 })
-        .expect("submit after shed")
-        .wait()
-        .expect("serve after shed")
-    {
+        .expect("submit after shed");
+    match wait_bounded(after, REPLY_LIMIT).expect("serve after shed") {
         Response::Got(v) => assert_eq!(v, Some(0)),
         other => panic!("unexpected {other:?}"),
     }
@@ -450,7 +446,7 @@ fn a_push_burst_queued_while_the_loop_is_busy_does_not_demote() {
         .recv_timeout(REPLY_LIMIT)
         .expect("the loop starts the read");
     for epoch in 1..=BURST {
-        assert!(server.publish_at(epoch));
+        assert!(server.publish_at(epoch, None));
     }
     assert_eq!(
         wait_bounded(slow_read, REPLY_LIMIT).expect("Get"),

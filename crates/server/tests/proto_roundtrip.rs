@@ -1,7 +1,7 @@
 //! Property tests for the wire protocol: encode→decode is the identity
 //! for arbitrary messages, the v3 envelope carries its correlation id
-//! both ways (and legacy v2 frames still decode), and corrupted frames
-//! (truncation, bad tags, bad versions, trailing bytes) are rejected,
+//! both ways, and corrupted frames (truncation, bad tags, bad versions
+//! — the retired version 2 included — trailing bytes) are rejected,
 //! never mis-parsed.
 
 use std::ops::Bound;
@@ -12,7 +12,7 @@ use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::DiffEntry;
 use pathcopy_server::proto::{
     FeedInfo, ProtoError, Request, Response, ServerGauges, StageSummary, WireError, WireStats,
-    PROTO_TRACE_FLAG, PROTO_V2, PROTO_VERSION,
+    PROTO_TRACE_FLAG, PROTO_VERSION,
 };
 use pathcopy_server::SpanRecord;
 
@@ -337,9 +337,9 @@ proptest! {
     #[test]
     fn bad_version_is_rejected(req in arb_request(), v in 0u8..=255) {
         let mut body = encode_request(&req);
-        if v != PROTO_VERSION && v != PROTO_V2 && v != (PROTO_VERSION | PROTO_TRACE_FLAG) {
+        if v != PROTO_VERSION && v != (PROTO_VERSION | PROTO_TRACE_FLAG) {
             body[0] = v;
-            prop_assert!(matches!(Request::decode(&body), Err(ProtoError::BadVersion(_))));
+            prop_assert!(matches!(Request::decode(&body), Err(ProtoError::BadVersion(b)) if b == v));
         }
     }
 
@@ -371,8 +371,8 @@ proptest! {
     fn request_envelope_id_roundtrips(req in arb_request(), id in any::<u64>()) {
         let mut body = Vec::new();
         req.encode_with_id(id, &mut body);
+        prop_assert_eq!(body[0], PROTO_VERSION);
         let framed = Request::decode_enveloped(&body).expect("decode");
-        prop_assert_eq!(framed.version, PROTO_VERSION);
         prop_assert_eq!(framed.request_id, id);
         prop_assert_eq!(framed.msg, req);
     }
@@ -381,26 +381,9 @@ proptest! {
     fn response_envelope_id_roundtrips(resp in arb_response(), id in any::<u64>()) {
         let mut body = Vec::new();
         resp.encode_with_id(id, &mut body);
+        prop_assert_eq!(body[0], PROTO_VERSION);
         let framed = Response::decode_enveloped(&body).expect("decode");
-        prop_assert_eq!(framed.version, PROTO_VERSION);
         prop_assert_eq!(framed.request_id, id);
-        prop_assert_eq!(framed.msg, resp);
-    }
-
-    #[test]
-    fn legacy_v2_frames_decode_with_id_zero(req in arb_request(), resp in arb_response()) {
-        let mut body = Vec::new();
-        req.encode_v2(&mut body);
-        let framed = Request::decode_enveloped(&body).expect("decode v2 request");
-        prop_assert_eq!(framed.version, PROTO_V2);
-        prop_assert_eq!(framed.request_id, 0);
-        prop_assert_eq!(framed.msg, req);
-
-        let mut body = Vec::new();
-        resp.encode_v2(&mut body);
-        let framed = Response::decode_enveloped(&body).expect("decode v2 response");
-        prop_assert_eq!(framed.version, PROTO_V2);
-        prop_assert_eq!(framed.request_id, 0);
         prop_assert_eq!(framed.msg, resp);
     }
 

@@ -4,8 +4,8 @@
 //! crate answers *which request, and where*. A compact [`TraceContext`]
 //! (trace id + parent span + flags) rides the proto-v3 envelope and is
 //! propagated **causally** along the whole write path — client submit →
-//! event-loop queue → worker execute → feed publish → durable
-//! append+fsync → push fan-out → relay re-serve → leaf apply — so one
+//! event-loop execute → feed publish → durable append+fsync → push
+//! fan-out → relay re-serve → leaf apply — so one
 //! epoch's journey across a relay tree is a single stitched trace under
 //! one id, with end-to-end epoch numbers.
 //!
@@ -286,10 +286,15 @@ impl Flight {
         slot.seq.store((seq | 1) + 1, Ordering::Release);
     }
 
-    /// Records a stage interval `start..end` for `ctx`, allocating the
-    /// span id; returns the id so callers can parent downstream spans.
+    /// Records a stage interval `start..end` for `ctx` and returns its
+    /// span id, so callers can parent downstream spans. `span_id` is an
+    /// id from [`next_span_id`](Self::next_span_id), for callers that
+    /// must hand the id to a downstream context *before* the interval
+    /// closes; with `None` one is allocated here.
+    #[allow(clippy::too_many_arguments)]
     pub fn span(
         &self,
+        span_id: Option<u64>,
         ctx: &TraceContext,
         kind: Stage,
         tag: u8,
@@ -297,25 +302,7 @@ impl Flight {
         start: Instant,
         end: Instant,
     ) -> u64 {
-        let id = self.next_span_id();
-        self.span_with_id(id, ctx, kind, tag, epoch, start, end);
-        id
-    }
-
-    /// Like [`span`](Self::span) with a pre-allocated id — for callers
-    /// that must hand the id to a downstream context *before* the span
-    /// interval closes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn span_with_id(
-        &self,
-        span_id: u64,
-        ctx: &TraceContext,
-        kind: Stage,
-        tag: u8,
-        epoch: u64,
-        start: Instant,
-        end: Instant,
-    ) {
+        let span_id = span_id.unwrap_or_else(|| self.next_span_id());
         self.record(&SpanRecord {
             trace_id: ctx.trace_id,
             span_id,
@@ -330,6 +317,7 @@ impl Flight {
                 .as_nanos()
                 .min(u128::from(u64::MAX)) as u64,
         });
+        span_id
     }
 
     /// Pins every ring span of `trace_id` into the survive-eviction
@@ -480,7 +468,7 @@ impl TraceRecorder {
     ) -> Option<u64> {
         match (self, ctx, start) {
             (TraceRecorder::Enabled(f), Some(ctx), Some(t0)) => {
-                Some(f.span(ctx, kind, tag, epoch, t0, Instant::now()))
+                Some(f.span(None, ctx, kind, tag, epoch, t0, Instant::now()))
             }
             _ => None,
         }
@@ -655,9 +643,15 @@ mod tests {
         let f = Flight::with_capacity("n", 8);
         let ctx = TraceContext::sampled(9).child(77);
         let t0 = Instant::now();
-        let id = f.span(&ctx, Stage::Execute, 3, 12, t0, Instant::now());
+        let id = f.span(None, &ctx, Stage::Execute, 3, 12, t0, Instant::now());
+        // A pre-allocated id is recorded as given.
+        let early = f.next_span_id();
+        assert_eq!(
+            f.span(Some(early), &ctx, Stage::WriteFlush, 3, 12, t0, t0),
+            early
+        );
         let dump = f.dump();
-        assert_eq!(dump.len(), 1);
+        assert_eq!(dump.len(), 2);
         assert_eq!(dump[0].span_id, id);
         assert_eq!(dump[0].parent_span, 77);
         assert_eq!(dump[0].kind, Stage::Execute as u8);
