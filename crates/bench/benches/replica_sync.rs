@@ -4,7 +4,7 @@
 //! replica, then a 4 000-op write burst whose keys come from the
 //! workspace's Zipf sampler (`theta = 0` is uniform; higher theta
 //! concentrates the burst on hot keys, shrinking the *distinct* change
-//! set). The replica then catches up once.
+//! set). The replica then catches up once by pull (`sync_now`).
 //!
 //! The printed table is the acceptance claim in numbers: `diff_bytes`
 //! tracks the distinct keys touched — O(changes) — while `full_bytes`
@@ -22,7 +22,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathcopy_bench::table::Series;
 use pathcopy_concurrent::ShardedTreapMap;
-use pathcopy_replica::{Replica, SyncOutcome};
+use pathcopy_replica::{PushReplica, SyncOutcome};
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{backend, Client, ServerConfig};
 use pathcopy_workloads::zipf::Zipf;
@@ -51,12 +51,13 @@ fn bench_replica_sync(c: &mut Criterion) {
         let addr = server.addr();
 
         // Bootstrap (the O(n) transfer, byte-counted as full_bytes).
-        let mut replica =
-            Replica::connect(addr, backend::by_name("sharded_map_8").unwrap()).expect("replica");
-        assert!(matches!(
-            replica.sync_once().expect("bootstrap"),
-            SyncOutcome::FullSync { .. }
-        ));
+        let mut replica = PushReplica::connect(addr, backend::by_name("sharded_map_8").unwrap())
+            .expect("replica");
+        assert_eq!(
+            replica.pull_stats().full_syncs,
+            1,
+            "bootstrap is a full sync"
+        );
         let boot_epoch = replica.applied_epoch();
 
         // Zipf write burst, then one published epoch on top.
@@ -69,15 +70,20 @@ fn bench_replica_sync(c: &mut Criterion) {
             distinct.insert(k);
             writer.insert(k, -(i as i64)).expect("burst write");
         }
-        writer.publish().expect("post-burst epoch");
+        let epoch = writer.publish().expect("post-burst epoch");
+        // The replica is subscribed, so the epoch is also pushed to it.
+        // Take that frame off the connection unapplied first, so the
+        // pull's byte window below holds the pull alone.
+        let pushed = replica.drop_one_push(Duration::from_secs(10));
+        assert_eq!(pushed.expect("push"), Some(epoch));
 
         // Catch-up (the O(changes) transfer, byte-counted as diff_bytes).
-        let caught = replica.sync_once().expect("catch up");
+        let caught = replica.sync_now().expect("catch up");
         let SyncOutcome::Diff { changes, .. } = caught else {
             panic!("catch-up must be incremental, got {caught:?}")
         };
         assert!(changes <= distinct.len(), "diff bounded by touched keys");
-        let stats = replica.stats();
+        let stats = replica.pull_stats();
         drop(writer);
         drop(replica); // closes their connections before the timing runs
 

@@ -73,6 +73,27 @@ impl Args {
     pub fn flags(&self) -> &[String] {
         &self.flags
     }
+
+    /// Checks every `--key value` against `keys` and every bare flag
+    /// against `flags`, so a misspelt or retired argument fails loudly
+    /// instead of silently running a different setup.
+    ///
+    /// # Errors
+    ///
+    /// The first unknown argument (keys before flags, keys in sorted
+    /// order), formatted as `--name`.
+    pub fn reject_unknown(&self, keys: &[&str], flags: &[&str]) -> Result<(), String> {
+        let unknown_key = self
+            .values
+            .keys()
+            .filter(|k| !keys.contains(&k.as_str()))
+            .min();
+        let unknown_flag = self.flags.iter().find(|f| !flags.contains(&f.as_str()));
+        match unknown_key.or(unknown_flag) {
+            Some(name) => Err(format!("--{name}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -104,6 +125,19 @@ mod tests {
         // `-5` does not start with `--`, so it binds to the key.
         let a = parse("--min -5");
         assert_eq!(a.get_or("min", 0i64), -5);
+    }
+
+    #[test]
+    fn unknown_keys_and_flags_are_named() {
+        let a = parse("--ops 10 --retired --trace");
+        assert_eq!(a.reject_unknown(&["ops"], &["trace", "retired"]), Ok(()));
+        assert_eq!(
+            a.reject_unknown(&["ops"], &["trace"]),
+            Err("--retired".to_owned())
+        );
+        // A known flag name given a value is still an unknown key.
+        let a = parse("--trace on");
+        assert_eq!(a.reject_unknown(&[], &["trace"]), Err("--trace".to_owned()));
     }
 
     #[test]

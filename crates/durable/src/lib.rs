@@ -28,7 +28,7 @@
 //!   durable before the client sees its epoch number.
 //! * **Replica seeding**: [`EpochLog::replay_into`] loads a replica's
 //!   store from the log so it can skip the `FullSync` transfer and join
-//!   the diff stream immediately (`Replica::seed_from_log` in
+//!   the diff stream immediately (`PushReplica::connect_seeded` in
 //!   `pathcopy-replica`).
 //!
 //! ```

@@ -69,7 +69,8 @@ pub enum LogError {
     /// The underlying filesystem operation failed.
     Io(io::Error),
     /// A segment other than the newest has an invalid tail, any segment
-    /// holds a checksummed record that does not decode, or the segment
+    /// holds a checksummed record that does not decode to a record the
+    /// log writes, or the segment
     /// sequence is structurally impossible (a diff with no preceding
     /// checkpoint, an epoch that does not chain). Torn tails in the
     /// *newest* segment are not errors — [`EpochLog::open`] truncates
@@ -254,7 +255,8 @@ impl EpochLog {
     /// checksums and the epoch chain. A torn tail in the *newest*
     /// segment — a crash mid-append — is truncated away and reported in
     /// [`RecoveryInfo::truncated_bytes`]; damage anywhere else, and a
-    /// checksummed record that does not decode in any segment, is
+    /// checksummed record in any segment that does not decode to a
+    /// record the log writes, is
     /// [`LogError::Corrupt`], with the files left untouched.
     ///
     /// # Errors

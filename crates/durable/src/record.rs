@@ -24,11 +24,16 @@
 //! replaying it would materialize a state no epoch ever had.
 //!
 //! A record whose checksum passes but whose non-empty body does not
-//! decode (an unknown tag, a retired envelope version) is no crash
-//! artefact: a torn append cannot produce a matching checksum. The
-//! scanner reports it as corrupt, and recovery refuses the log instead
-//! of truncating the record — and everything after it — away. An empty
-//! body (a zero-filled tail: length `0`, checksum `0`) is still torn.
+//! decode (an unknown tag, a retired envelope version), or decodes to
+//! something the log never writes (another variant, epoch `0`, a page
+//! of a different epoch than its open checkpoint, a diff inside an open
+//! checkpoint), is no crash artefact: a torn append cannot produce a
+//! matching checksum, and a failed append is rolled back before the
+//! next one. The scanner reports it as corrupt, and recovery refuses the
+//! log instead of truncating the record — and everything after it —
+//! away. An empty body (a zero-filled tail: length `0`, checksum `0`)
+//! and a checkpoint missing its final page at the end of the file are
+//! still torn.
 
 use pathcopy_core::DiffEntry;
 use pathcopy_server::proto::{Epoch, Response, MAX_FRAME_LEN};
@@ -101,8 +106,9 @@ pub(crate) enum Tail {
     /// checkpoint missing its final page, …). Legal only at the tail of
     /// the *last* segment, where it is truncated away.
     Torn(&'static str),
-    /// A checksummed, non-empty record body that does not decode: not
-    /// a crash artefact, so an error in any segment, never truncated.
+    /// A checksummed, non-empty record body that does not decode, or
+    /// decodes to a record the log never writes: not a crash artefact,
+    /// so an error in any segment, never truncated.
     Corrupt(&'static str),
 }
 
@@ -130,6 +136,11 @@ pub(crate) fn scan_segment(buf: &[u8], keep_payloads: bool) -> Scan {
         units,
         clean_len: clean as u64,
         tail: Tail::Torn(why),
+    };
+    let corrupt = |units: Vec<Unit>, clean: usize, why: &'static str| Scan {
+        units,
+        clean_len: clean as u64,
+        tail: Tail::Corrupt(why),
     };
     loop {
         if pos == buf.len() {
@@ -161,22 +172,16 @@ pub(crate) fn scan_segment(buf: &[u8], keep_payloads: bool) -> Scan {
         let resp = match Response::decode(body) {
             Ok(r) => r,
             Err(_) if body.is_empty() => return torn(units, clean, "empty record body"),
-            Err(_) => {
-                return Scan {
-                    units,
-                    clean_len: clean as u64,
-                    tail: Tail::Corrupt("checksummed record body does not decode"),
-                }
-            }
+            Err(_) => return corrupt(units, clean, "checksummed record body does not decode"),
         };
         pos += RECORD_HEADER_LEN + len;
         match resp {
             Response::EpochDiff { to, mut entries } => {
                 if open.is_some() {
-                    return torn(units, clean, "diff record inside an open checkpoint");
+                    return corrupt(units, clean, "diff record inside an open checkpoint");
                 }
                 if to == 0 {
-                    return torn(units, clean, "diff record for epoch zero");
+                    return corrupt(units, clean, "diff record for epoch zero");
                 }
                 if !keep_payloads {
                     entries.clear();
@@ -193,7 +198,7 @@ pub(crate) fn scan_segment(buf: &[u8], keep_payloads: bool) -> Scan {
                 done,
             } => {
                 if epoch == 0 {
-                    return torn(units, clean, "checkpoint page for epoch zero");
+                    return corrupt(units, clean, "checkpoint page for epoch zero");
                 }
                 if !keep_payloads {
                     entries.clear();
@@ -202,7 +207,7 @@ pub(crate) fn scan_segment(buf: &[u8], keep_payloads: bool) -> Scan {
                     None => open = Some((epoch, entries)),
                     Some((e, acc)) => {
                         if *e != epoch {
-                            return torn(units, clean, "checkpoint page epoch mismatch");
+                            return corrupt(units, clean, "checkpoint page epoch mismatch");
                         }
                         acc.extend(entries);
                     }
@@ -216,7 +221,7 @@ pub(crate) fn scan_segment(buf: &[u8], keep_payloads: bool) -> Scan {
                     clean = pos;
                 }
             }
-            _ => return torn(units, clean, "unexpected record variant"),
+            _ => return corrupt(units, clean, "unexpected record variant"),
         }
     }
 }

@@ -14,9 +14,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pathcopy_concurrent::ShardedTreapMap;
+use pathcopy_core::DiffEntry;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig, LogError};
 use pathcopy_server::backend::{ServeBackend, ShardedServe};
-use pathcopy_server::{FeedSink, VersionFeed};
+use pathcopy_server::{FeedSink, Response, VersionFeed};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -232,22 +233,54 @@ fn torn_tail_garbage_is_truncated_and_appends_resume() {
 
 #[test]
 fn checksummed_undecodable_record_is_corrupt_not_truncated() {
-    // Two record bodies whose checksums pass but which do not decode:
-    // a v3 body with an unknown response tag, and a version-2 body of
-    // an otherwise well-formed `EpochDiff` for the next epoch (the
-    // retired envelope). A torn append cannot produce either, so
-    // recovery must refuse the log rather than drop the record.
+    // Record runs whose checksums pass but which the log never writes:
+    // a v3 body with an unknown response tag, a version-2 body of an
+    // otherwise well-formed `EpochDiff` for the next epoch (the retired
+    // envelope), and decodable bodies the scanner must not accept — an
+    // unexpected variant, epoch zero, a page of another epoch than its
+    // open checkpoint, a diff inside an open checkpoint. A torn append
+    // cannot produce any of them (a failed append is rolled back), so
+    // recovery must refuse the log rather than drop the records.
     let mut unknown_tag = vec![3u8];
     unknown_tag.extend(0u64.to_le_bytes()); // request id
     unknown_tag.push(0xEE);
     let mut version_2 = vec![2u8, 15]; // version 2, EpochDiff
     version_2.extend(4u64.to_le_bytes()); // to: epoch 4
     version_2.extend(0u32.to_le_bytes()); // no entries
+    let encoded = |resp: Response| {
+        let mut body = Vec::new();
+        resp.encode(&mut body);
+        body
+    };
+    let diff = |to| Response::EpochDiff {
+        to,
+        entries: vec![DiffEntry::Added(9, 90)],
+    };
+    let page = |epoch, done| Response::SyncPage {
+        epoch,
+        entries: vec![(9, 90)],
+        done,
+    };
+    let cases: Vec<(&str, Vec<Vec<u8>>)> = vec![
+        ("unknown tag", vec![unknown_tag]),
+        ("version 2", vec![version_2]),
+        ("unexpected variant", vec![encoded(Response::Published(4))]),
+        ("diff for epoch zero", vec![encoded(diff(0))]),
+        ("page for epoch zero", vec![encoded(page(0, true))]),
+        (
+            "page epoch mismatch",
+            vec![encoded(page(4, false)), encoded(page(5, true))],
+        ),
+        (
+            "diff inside a checkpoint",
+            vec![encoded(page(4, false)), encoded(diff(4))],
+        ),
+    ];
     let config = LogConfig {
         fsync: false,
         ..LogConfig::default()
     };
-    for (what, body) in [("unknown tag", unknown_tag), ("version 2", version_2)] {
+    for (what, bodies) in cases {
         let dir = scratch("undecodable");
         {
             let primary = logged_primary(&dir, config.clone(), 8);
@@ -263,10 +296,12 @@ fn checksummed_undecodable_record_is_corrupt_not_truncated() {
         {
             use std::io::Write as _;
             let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
-            f.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-            f.write_all(&pathcopy_durable::record::crc32(&body).to_le_bytes())
-                .unwrap();
-            f.write_all(&body).unwrap();
+            for body in &bodies {
+                f.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+                f.write_all(&pathcopy_durable::record::crc32(body).to_le_bytes())
+                    .unwrap();
+                f.write_all(body).unwrap();
+            }
         }
         let len = std::fs::metadata(&seg).unwrap().len();
         match EpochLog::open(&dir, config.clone()) {

@@ -8,9 +8,11 @@
 //!     --threads 8 --ops 100000 --backend sharded_map_8 \
 //!     --read-frac 0.9 --theta 0.99 --keys 65536 \
 //!     [--batch 8] [--replicas 2] [--json out.jsonl] \
-//!     [--log-dir /var/tmp/pathcopy-log] [--subscribe] [--relays 2] \
+//!     [--log-dir /var/tmp/pathcopy-log] [--relays 2] \
 //!     [--metrics] [--trace [--slow-ms t]] [--metrics-interval n]
 //! ```
+//!
+//! An argument not listed above exits with status 2 and names it.
 //!
 //! `--batch n` groups updates into n-op `Batch` frames (the sharded
 //! backend commits them atomically via `transact`); `--json` appends one
@@ -26,12 +28,18 @@
 //! `Busy` if `--pipeline` exceeds it.
 //!
 //! `--replicas n` stands up the replication subsystem: one primary plus
-//! `n` snapshot-diff replicas, each serving on its own port with a sync
-//! thread pulling epoch diffs while a publisher thread advances the
-//! primary's version feed. **Reads go to the replicas** (round-robin by
-//! worker thread), updates to the primary — the read scale-out topology
-//! the paper's O(changes) diffs make cheap. The final report includes
-//! per-replica applied epochs and diff/full transfer bytes.
+//! `n` push replicas, each serving on its own port while a publisher
+//! thread advances the primary's version feed. Each replica bootstraps
+//! by full sync, registers for the feed, and a pump thread applies the
+//! unsolicited epoch-diff frames (`PushReplica::pump`). **Reads go to
+//! the replicas** (round-robin by worker thread), updates to the
+//! primary — the read scale-out topology the paper's O(changes) diffs
+//! make cheap. `--relays r` inserts `r` relay nodes between the primary
+//! and the replicas: relays subscribe to the primary, re-serve the feed
+//! under the primary's epoch numbers, and the replicas subscribe to the
+//! relays round-robin — the primary's push egress then scales with `r`,
+//! not with the replica count. The final report prints per-node
+//! push/gap/resubscribe counters.
 //!
 //! `--log-dir <path>` makes the primary durable: every published epoch
 //! is appended to a `pathcopy-durable` segmented log in that directory
@@ -50,16 +58,6 @@
 //! split tells you *where* a latency regression lives — execute time
 //! rises when the backend slows down, write time when replies outpace
 //! the sockets or the loop is busy with other connections.
-//!
-//! `--subscribe` switches the replica tier from pull to **push**: each
-//! replica registers for the primary's feed and applies unsolicited
-//! epoch-diff frames (`PushReplica::pump`) instead of polling
-//! `PullDiff`. `--relays r` (implies `--subscribe`) inserts `r` relay
-//! nodes between the primary and the replicas: relays subscribe to the
-//! primary, re-serve the feed under the primary's epoch numbers, and
-//! the replicas subscribe to the relays round-robin — the primary's
-//! push egress then scales with `r`, not with the replica count. The
-//! final report prints per-node push/gap/resubscribe counters.
 //!
 //! `--trace` turns on the cluster-wide flight recorders: every node
 //! (primary, relays, push replicas) gets a `pathcopy-trace` ring, the
@@ -87,15 +85,43 @@ use pathcopy_bench::table::{group_thousands, Series};
 use pathcopy_concurrent::BatchOp;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
 use pathcopy_metrics::LatencyHistogram;
-use pathcopy_replica::{cluster, PushOutcome, PushReplica};
+use pathcopy_replica::PushReplica;
 use pathcopy_server::{
     backend, render_text, render_trace, trace_ids, Client, FeedSink, Flight, MetricsSource as _,
     Request, ServerConfig, SpanRecord, Ticket, TraceContext,
 };
 use pathcopy_workloads::{KeyDist, MixedStream, Op, OpStream as _};
 
+/// Every `--key value` loadgen reads.
+const KEYS: &[&str] = &[
+    "threads",
+    "ops",
+    "backend",
+    "read-frac",
+    "theta",
+    "keys",
+    "batch",
+    "pipeline",
+    "replicas",
+    "relays",
+    "prefill",
+    "seed",
+    "publish-ms",
+    "json",
+    "log-dir",
+    "slow-ms",
+    "metrics-interval",
+];
+
+/// Every bare `--flag` loadgen reads.
+const FLAGS: &[&str] = &["metrics", "trace"];
+
 fn main() {
     let args = Args::from_env();
+    if let Err(unknown) = args.reject_unknown(KEYS, FLAGS) {
+        eprintln!("loadgen: unknown argument {unknown}");
+        std::process::exit(2);
+    }
     let threads: usize = args.get_or("threads", 4);
     let total_ops: u64 = args.get_or("ops", 100_000);
     let backend_name: String = args.get_or("backend", "sharded_map_8".to_string());
@@ -106,7 +132,6 @@ fn main() {
     let pipeline: usize = args.get_or("pipeline", 1);
     let replicas: usize = args.get_or("replicas", 0);
     let relays: usize = args.get_or("relays", 0);
-    let subscribe = args.has_flag("subscribe") || relays > 0;
     let prefill: u64 = args.get_or("prefill", keys / 2);
     let seed: u64 = args.get_or("seed", 42);
     let publish_ms: u64 = args.get_or("publish-ms", 2);
@@ -195,67 +220,54 @@ fn main() {
         }
     }
 
-    // The replication tier: bootstrapped replicas serving on their own
-    // ports, kept fresh by per-replica sync threads while a publisher
+    // The replication tier: optional relays subscribed to the primary,
+    // then the read replicas subscribed round-robin to the relays (or
+    // straight to the primary when there are none), each serving on its
+    // own port and kept fresh by a pump thread while a publisher
     // advances the primary's feed.
-    let mut nodes = Vec::new();
     let mut push_nodes: Vec<PushReplica> = Vec::new();
     let mut read_addrs: Vec<std::net::SocketAddr> = Vec::new();
     // Every push node's serve address, in `push_nodes` order, for the
     // post-run `TraceDump` sweep.
     let mut trace_addrs: Vec<std::net::SocketAddr> = Vec::new();
-    if subscribe {
-        // The push tier: optional relays subscribed to the primary,
-        // then the read replicas subscribed round-robin to the relays
-        // (or straight to the primary when there are none).
-        let mut relay_addrs = Vec::new();
-        for r in 0..relays {
-            let store = backend::by_name(&backend_name).expect("relay backend");
-            let mut relay = PushReplica::connect(addr, store).expect("stand up relay");
-            if trace_on {
-                relay.set_trace(new_flight(&format!("relay{r}")));
-            }
-            let relay_addr = relay
-                .serve_relay(ServerConfig::default())
-                .expect("bind relay listener");
-            relay_addrs.push(relay_addr);
-            trace_addrs.push(relay_addr);
-            push_nodes.push(relay);
+    let mut relay_addrs = Vec::new();
+    for r in 0..relays {
+        let store = backend::by_name(&backend_name).expect("relay backend");
+        let mut relay = PushReplica::connect(addr, store).expect("stand up relay");
+        if trace_on {
+            relay.set_trace(new_flight(&format!("relay{r}")));
         }
-        for i in 0..replicas {
-            let upstream = if relay_addrs.is_empty() {
-                addr
-            } else {
-                relay_addrs[i % relay_addrs.len()]
-            };
-            let store = backend::by_name(&backend_name).expect("replica backend");
-            let mut leaf = PushReplica::connect(upstream, store).expect("stand up push replica");
-            if trace_on {
-                leaf.set_trace(new_flight(&format!("leaf{i}")));
-            }
-            let leaf_addr = leaf
-                .serve_relay(ServerConfig::default())
-                .expect("bind replica listener");
-            read_addrs.push(leaf_addr);
-            trace_addrs.push(leaf_addr);
-            push_nodes.push(leaf);
+        let relay_addr = relay
+            .serve_relay(ServerConfig::default())
+            .expect("bind relay listener");
+        relay_addrs.push(relay_addr);
+        trace_addrs.push(relay_addr);
+        push_nodes.push(relay);
+    }
+    for i in 0..replicas {
+        let upstream = if relay_addrs.is_empty() {
+            addr
+        } else {
+            relay_addrs[i % relay_addrs.len()]
+        };
+        let store = backend::by_name(&backend_name).expect("replica backend");
+        let mut leaf = PushReplica::connect(upstream, store).expect("stand up push replica");
+        if trace_on {
+            leaf.set_trace(new_flight(&format!("leaf{i}")));
         }
-        if replicas > 0 || relays > 0 {
-            println!(
-                "replication: push mode, {relays} relay(s) + {replicas} replica(s) \
-                 bootstrapped at epoch {}; reads target the replicas",
-                push_nodes.first().map_or(0, |n| n.applied_epoch())
-            );
-        }
-    } else {
-        nodes = cluster(addr, replicas, &backend_name).expect("stand up replicas");
-        read_addrs = nodes.iter().map(|n| n.server.addr()).collect();
-        if replicas > 0 {
-            println!(
-                "replication: {replicas} replica(s) bootstrapped at epoch {}; reads target the replicas",
-                nodes[0].replica.applied_epoch()
-            );
-        }
+        let leaf_addr = leaf
+            .serve_relay(ServerConfig::default())
+            .expect("bind replica listener");
+        read_addrs.push(leaf_addr);
+        trace_addrs.push(leaf_addr);
+        push_nodes.push(leaf);
+    }
+    if let Some(first) = push_nodes.first() {
+        println!(
+            "replication: {relays} relay(s) + {replicas} replica(s) bootstrapped at epoch {}; \
+             reads target the replicas",
+            first.applied_epoch()
+        );
     }
     let stop = AtomicBool::new(false);
 
@@ -265,7 +277,6 @@ fn main() {
     // workers record concurrently, the report reads one snapshot.
     let latency_hist = LatencyHistogram::new();
     let mut done_ops = 0u64;
-    let mut synced_nodes = Vec::new();
     let mut pumped_nodes = Vec::new();
 
     std::thread::scope(|scope| {
@@ -273,7 +284,6 @@ fn main() {
         // a durable-but-replica-less primary (--log-dir alone): the log
         // persists *published* epochs, so without publishes it would
         // record nothing.
-        let mut sync_handles = Vec::new();
         let mut pump_handles = Vec::new();
         if replicas > 0 || relays > 0 || log_dir.is_some() || trace_on {
             let stop_ref = &stop;
@@ -298,22 +308,6 @@ fn main() {
                 }
             });
         }
-        if replicas > 0 {
-            for node in nodes {
-                let stop_ref = &stop;
-                sync_handles.push(scope.spawn(move || {
-                    let mut node = node;
-                    while !stop_ref.load(Ordering::Relaxed) {
-                        let outcome = node.replica.sync_once().expect("replica sync");
-                        if let pathcopy_replica::SyncOutcome::Diff { changes: 0, .. } = outcome {
-                            // At the head: don't hammer the primary.
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                    }
-                    node
-                }));
-            }
-        }
         for node in push_nodes {
             let stop_ref = &stop;
             pump_handles.push(scope.spawn(move || {
@@ -322,12 +316,7 @@ fn main() {
                 // frame; the publisher keeps frames coming.
                 let mut node = node;
                 while !stop_ref.load(Ordering::Relaxed) {
-                    match node.pump(Duration::from_millis(5)).expect("push pump") {
-                        PushOutcome::Idle
-                        | PushOutcome::Stale { .. }
-                        | PushOutcome::Pushed { .. }
-                        | PushOutcome::CaughtUp { .. } => {}
-                    }
+                    node.pump(Duration::from_millis(5)).expect("push pump");
                 }
                 node
             }));
@@ -505,9 +494,6 @@ fn main() {
             done_ops += h.join().expect("worker panicked");
         }
         stop.store(true, Ordering::Relaxed);
-        for h in sync_handles {
-            synced_nodes.push(h.join().expect("sync thread panicked"));
-        }
         for h in pump_handles {
             pumped_nodes.push(h.join().expect("pump thread panicked"));
         }
@@ -569,20 +555,6 @@ fn main() {
         final_stats.freeze_retries,
         final_stats.len,
     );
-    for (i, node) in synced_nodes.iter().enumerate() {
-        let s = node.replica.stats();
-        println!(
-            "replica[{i}]: applied_epoch={} lag={} diff_pulls={} diff_bytes={} \
-             full_syncs={} full_bytes={} ring_fallbacks={}",
-            s.applied_epoch,
-            s.lag(),
-            s.diff_pulls,
-            s.diff_bytes,
-            s.full_syncs,
-            s.full_bytes,
-            s.ring_fallbacks,
-        );
-    }
     for (i, node) in pumped_nodes.iter().enumerate() {
         let role = if i < relays { "relay" } else { "push-replica" };
         let p = node.push_stats();
@@ -715,10 +687,8 @@ fn main() {
         }
     }
 
-    // Replica servers shut down when their handles drop.
-    for node in synced_nodes {
-        node.server.shutdown();
-    }
+    // Relay and replica endpoints shut down when their nodes drop.
+    drop(pumped_nodes);
     server.shutdown();
 }
 

@@ -1,20 +1,41 @@
-//! Push-based replication: the subscriber side and relay chaining.
+//! The replica: bootstrap by pull, then follow the feed by push, and
+//! optionally re-serve it as a relay.
 //!
-//! The pull engine ([`Replica`]) asks the primary what changed; the
-//! push subsystem inverts the arrow. A [`PushReplica`] bootstraps
-//! exactly like a pull replica, then registers for the primary's feed
-//! ([`Session::subscribe`](pathcopy_server::Session::subscribe)): every
-//! published epoch arrives as an unsolicited diff frame, and
-//! [`PushReplica::pump`] applies it as one atomic batch. In the steady
-//! state a follower costs the primary **one diff-sized frame per
-//! epoch** and issues **zero** requests — `PullDiff` survives only as
-//! the gap-repair path.
+//! A [`PushReplica`] owns one connection to its feed source (the
+//! primary, or any relay) and a local store (any [`ServeBackend`]).
+//! [`connect`](PushReplica::connect) bootstraps the store with a
+//! chunked full sync, or [`connect_seeded`](PushReplica::connect_seeded)
+//! replays a durable epoch log into it and catches up by diff; either
+//! way the replica then registers for the feed
+//! ([`Session::subscribe`](pathcopy_server::Session::subscribe)). From
+//! there on every published epoch arrives as an unsolicited diff frame
+//! and [`PushReplica::pump`] applies it as one atomic batch. In the
+//! steady state a follower costs the source **one diff-sized frame per
+//! epoch** and issues **zero** requests.
 //!
-//! **Relay chaining** is what makes fan-out scale: a push replica can
-//! itself serve the feed. [`PushReplica::serve_relay`] spawns a full
-//! `pathcopy-server` over the replica's store (via [`RelayBackend`])
-//! and mirrors every applied epoch into that server's own feed under
-//! its **original number**
+//! The pull path survives only for bootstrap and gap repair
+//! ([`PushReplica::sync_now`]):
+//!
+//! * **Diff** — `PullDiff(applied_epoch)` fetches everything that
+//!   changed between the replica's epoch and the feed head, applied
+//!   through the store's [`transact`](ServeBackend::transact) as one
+//!   batch ([`diff_to_ops`]).
+//! * **Full sync** — when bootstrapping, when the replica's epoch has
+//!   been retired from the source's feed ring, or when the diff reply
+//!   overflows the frame cap, the replica pages the pinned head down in
+//!   bounded [`SyncPage`](pathcopy_server::Response::SyncPage) segments
+//!   and applies the local reconciliation, again as one batch.
+//!
+//! On a backend with atomic batches (the sharded map) local readers only
+//! ever observe published versions, never a half-applied epoch.
+//! [`PullStats`] counts the exact wire bytes each pull path moved (via
+//! [`Client::wire_bytes`]): diff catch-up transfers O(changes) bytes
+//! while a full sync transfers O(n).
+//!
+//! **Relay chaining** is what makes fan-out scale: a replica can itself
+//! serve the feed. [`PushReplica::serve_relay`] spawns a full
+//! `pathcopy-server` over the replica's store and mirrors every applied
+//! epoch into that server's own feed under its **original number**
 //! ([`VersionFeed::publish_at`](pathcopy_server::VersionFeed::publish_at)).
 //! Downstream subscribers — more relays, or leaves — cannot tell the
 //! relay from the primary: same frames, same epoch sequence, same
@@ -33,9 +54,8 @@
 //! Delivery discipline (the invariants [`PushReplica::pump`] keeps):
 //!
 //! * apply a push only when its `from` epoch equals the locally applied
-//!   epoch — anything newer is a **gap** (the primary demoted us, or
-//!   frames were dropped), repaired by one `sync_once` plus a
-//!   resubscribe;
+//!   epoch — anything newer is a **gap** (the source demoted us, or
+//!   frames were dropped), repaired by one pull plus a resubscribe;
 //! * ignore pushes at or below the applied epoch — after a catch-up the
 //!   subscription can replay an epoch the pull already covered
 //!   ([`PushOutcome::Stale`]), and applying it twice would corrupt the
@@ -44,83 +64,72 @@
 //!   downstream `FullSync` pinning the mirrored epoch always sees a
 //!   store at least that new.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pathcopy_concurrent::{diff_to_ops, BatchOp, BatchResult};
-use pathcopy_core::StatsSnapshot;
+use pathcopy_concurrent::{diff_to_ops, BatchOp};
+use pathcopy_durable::EpochLog;
 use pathcopy_metrics::{HistogramSnapshot, LatencyHistogram, Stage};
 use pathcopy_server::metrics::{summarize, MetricsSource};
 use pathcopy_server::proto::StageSummary;
 use pathcopy_server::{
-    ClientError, Epoch, ServeBackend, ServeSnapshot, ServerConfig, ServerHandle, Subscription,
+    Client, ClientError, Epoch, ServeBackend, ServerConfig, ServerHandle, Subscription, WireError,
 };
 use pathcopy_trace::{Flight, TraceContext};
 
-use crate::replica::{Replica, ReplicaStatsSnapshot};
-
-/// A [`ServeBackend`] view over a push replica's shared store: the
-/// backend a relay's serving endpoint runs on. Pure delegation — the
-/// type exists to name the role (and to give relay-specific policy a
-/// single seam): the pump thread is the only writer, the served
-/// endpoint reads coherent snapshots of whatever epoch the pump last
-/// applied.
-pub struct RelayBackend {
-    store: Arc<dyn ServeBackend>,
+/// What one pull ([`PushReplica::sync_now`]) did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncOutcome {
+    /// Caught up via an incremental epoch diff (`changes` entries;
+    /// `0` = the replica was already at the head).
+    Diff {
+        /// The epoch the replica is now at.
+        to: Epoch,
+        /// Number of diff entries applied.
+        changes: usize,
+    },
+    /// Bootstrapped (or re-bootstrapped after lagging past the feed
+    /// ring) via a chunked full sync.
+    FullSync {
+        /// The epoch the replica is now at.
+        to: Epoch,
+        /// Entries transferred (the pinned version's size).
+        entries: usize,
+    },
 }
 
-impl RelayBackend {
-    /// Wraps the shared store a [`PushReplica`] maintains.
-    pub fn new(store: Arc<dyn ServeBackend>) -> Self {
-        RelayBackend { store }
-    }
-}
-
-impl ServeBackend for RelayBackend {
-    fn get(&self, key: i64) -> Option<i64> {
-        self.store.get(key)
-    }
-
-    fn insert(&self, key: i64, value: i64) -> Option<i64> {
-        self.store.insert(key, value)
-    }
-
-    fn remove(&self, key: i64) -> Option<i64> {
-        self.store.remove(key)
-    }
-
-    fn cas(&self, key: i64, expected: Option<i64>, new: Option<i64>) -> bool {
-        self.store.cas(key, expected, new)
-    }
-
-    fn transact(&self, ops: &[BatchOp<i64, i64>]) -> Vec<BatchResult<i64>> {
-        self.store.transact(ops)
-    }
-
-    fn transact_guarded(
-        &self,
-        ops: &[BatchOp<i64, i64>],
-    ) -> Result<Vec<BatchResult<i64>>, Vec<u32>> {
-        self.store.transact_guarded(ops)
-    }
-
-    fn atomic_batches(&self) -> bool {
-        self.store.atomic_batches()
-    }
-
-    fn snapshot(&self) -> Arc<dyn ServeSnapshot> {
-        self.store.snapshot()
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.store.stats()
-    }
+/// Monotone counters for the pull path (bootstrap and gap repair),
+/// complementing [`PushStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PullStats {
+    /// The feed epoch the local store currently equals.
+    pub applied_epoch: Epoch,
+    /// Completed incremental catch-ups ([`SyncOutcome::Diff`]).
+    pub diff_pulls: u64,
+    /// Completed full syncs ([`SyncOutcome::FullSync`]).
+    pub full_syncs: u64,
+    /// Diff entries applied across all incremental catch-ups.
+    pub diff_entries: u64,
+    /// Entries transferred across all full syncs.
+    pub full_entries: u64,
+    /// Upstream wire bytes (both directions) moved while incremental
+    /// catch-ups ran. A push frame that lands on the connection during
+    /// a pull is counted here too.
+    pub diff_bytes: u64,
+    /// Upstream wire bytes (both directions) moved while full syncs
+    /// ran.
+    pub full_bytes: u64,
+    /// Times the replica found its epoch retired from the feed ring and
+    /// had to fall back to a full sync.
+    pub ring_fallbacks: u64,
+    /// Bootstraps performed from a durable epoch log instead of the
+    /// wire ([`PushReplica::connect_seeded`] — zero `FullSync` bytes).
+    pub log_seeds: u64,
+    /// Entries materialized by log-seeded bootstraps.
+    pub log_seed_entries: u64,
 }
 
 /// What one [`PushReplica::pump`] step did.
@@ -149,8 +158,7 @@ pub enum PushOutcome {
     },
 }
 
-/// Monotone counters for the push path, complementing
-/// [`ReplicaStatsSnapshot`]'s pull counters.
+/// Monotone counters for the push path, complementing [`PullStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PushStats {
     /// Pushes applied directly ([`PushOutcome::Pushed`]).
@@ -162,7 +170,7 @@ pub struct PushStats {
     /// Gaps repaired by falling back to a pull
     /// ([`PushOutcome::CaughtUp`]).
     pub push_gaps: u64,
-    /// Fresh subscriptions established after a gap repair.
+    /// Fresh subscriptions established after a pull.
     pub resubscribes: u64,
 }
 
@@ -209,10 +217,142 @@ impl MetricsSource for PushMetrics {
     }
 }
 
-/// A push-fed replica, optionally re-serving the feed as a relay; see
-/// the module docs.
+/// The pull half of a replica: the upstream connection, the local store
+/// it materializes into, and the pull counters. It exists apart from
+/// [`PushReplica`] only because the bootstrap pull must finish before
+/// the subscription can be opened.
+struct Pull {
+    client: Client,
+    store: Arc<dyn ServeBackend>,
+    stats: PullStats,
+}
+
+impl Pull {
+    /// One catch-up step: incremental diff when possible, full sync when
+    /// bootstrapping or after lagging past the source's feed ring.
+    /// `EpochRetired`/`TooLarge` trigger the full-sync fallback and are
+    /// not returned.
+    fn sync(&mut self) -> Result<SyncOutcome, ClientError> {
+        let applied = self.stats.applied_epoch;
+        if applied == 0 {
+            return self.full_sync();
+        }
+        let before = self.client.wire_bytes();
+        match self.client.pull_diff(applied) {
+            Ok((to, entries)) => {
+                if !entries.is_empty() {
+                    self.store.transact(&diff_to_ops(&entries));
+                }
+                self.stats.diff_bytes += self.client.wire_bytes().since(&before).total();
+                self.stats.diff_pulls += 1;
+                self.stats.diff_entries += entries.len() as u64;
+                self.stats.applied_epoch = to;
+                Ok(SyncOutcome::Diff {
+                    to,
+                    changes: entries.len(),
+                })
+            }
+            // Lagged past the ring (or the diff no longer fits a frame):
+            // bootstrap again from the head.
+            Err(ClientError::Server(WireError::EpochRetired(_) | WireError::TooLarge)) => {
+                self.stats.ring_fallbacks += 1;
+                self.full_sync()
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Pages the source's head version down in bounded segments and
+    /// reconciles the local store against it **atomically**. If the
+    /// pinned epoch is retired mid-transfer (a tiny feed ring under
+    /// publish churn), the transfer restarts from a fresh pin, up to a
+    /// bounded number of attempts; the last retirement error is returned
+    /// if every attempt lost its pin.
+    fn full_sync(&mut self) -> Result<SyncOutcome, ClientError> {
+        const MAX_RESTARTS: usize = 8;
+        let before = self.client.wire_bytes();
+        let mut last_err: Option<ClientError> = None;
+        for _ in 0..MAX_RESTARTS {
+            match self.try_full_transfer() {
+                Ok((epoch, target)) => {
+                    let transferred = target.len();
+                    self.reconcile(&target);
+                    self.stats.full_bytes += self.client.wire_bytes().since(&before).total();
+                    self.stats.full_syncs += 1;
+                    self.stats.full_entries += transferred as u64;
+                    self.stats.applied_epoch = epoch;
+                    return Ok(SyncOutcome::FullSync {
+                        to: epoch,
+                        entries: transferred,
+                    });
+                }
+                Err(e @ ClientError::Server(WireError::EpochRetired(_))) => {
+                    last_err = Some(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Err(last_err.expect("restarts only on EpochRetired"))
+    }
+
+    /// Pages one pinned epoch fully down. `Err(EpochRetired)` means the
+    /// pin died mid-transfer and the caller should restart.
+    fn try_full_transfer(&mut self) -> Result<(Epoch, BTreeMap<i64, i64>), ClientError> {
+        let mut target = BTreeMap::new();
+        let (epoch, first, mut done) = self.client.full_sync_page(None, None, 0)?;
+        let mut after = first.last().map(|(k, _)| *k);
+        target.extend(first);
+        while !done {
+            let (e, page, page_done) = self.client.full_sync_page(Some(epoch), after, 0)?;
+            debug_assert_eq!(e, epoch, "server pages the pinned epoch");
+            after = page.last().map(|(k, _)| *k).or(after);
+            target.extend(page);
+            done = page_done;
+        }
+        Ok((epoch, target))
+    }
+
+    /// Applies `local → target` as one batch: inserts/overwrites for
+    /// entries that differ, removals for local keys the target lacks.
+    /// Both sides are sorted, so this is a single two-pointer merge.
+    fn reconcile(&self, target: &BTreeMap<i64, i64>) {
+        let snap = self.store.snapshot();
+        let (local, complete) =
+            snap.range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded, 0);
+        debug_assert!(complete, "unlimited range scans to completion");
+        let mut ops: Vec<BatchOp<i64, i64>> = Vec::new();
+        let mut incoming = target.iter().peekable();
+        for (k, v) in &local {
+            while let Some(&(&tk, &tv)) = incoming.peek() {
+                if tk >= *k {
+                    break;
+                }
+                ops.push(BatchOp::Insert(tk, tv)); // target-only, before k
+                incoming.next();
+            }
+            match incoming.peek() {
+                Some(&(&tk, &tv)) if tk == *k => {
+                    if tv != *v {
+                        ops.push(BatchOp::Insert(tk, tv));
+                    }
+                    incoming.next();
+                }
+                _ => ops.push(BatchOp::Remove(*k)), // local-only
+            }
+        }
+        for (&tk, &tv) in incoming {
+            ops.push(BatchOp::Insert(tk, tv)); // target-only tail
+        }
+        if !ops.is_empty() {
+            self.store.transact(&ops);
+        }
+    }
+}
+
+/// A read replica of a `pathcopy-server` primary, fed by push and
+/// optionally re-serving the feed as a relay; see the module docs.
 pub struct PushReplica {
-    replica: Replica,
+    pull: Pull,
     sub: Subscription,
     relay: Option<ServerHandle>,
     stats: PushStats,
@@ -227,26 +367,77 @@ pub struct PushReplica {
 
 impl PushReplica {
     /// Connects to the feed source at `addr` (the primary, or any
-    /// relay), bootstraps `store` with one pull sync, and subscribes
-    /// for pushes from the bootstrapped epoch onward. After this
-    /// returns, the steady state is pure push: drive it with
+    /// relay), bootstraps `store` with one chunked full sync, and
+    /// subscribes for pushes from the bootstrapped epoch onward. After
+    /// this returns, the steady state is pure push: drive it with
     /// [`pump`](Self::pump).
+    ///
+    /// Pick a store with atomic batches (the sharded map) if local
+    /// readers must only ever observe published versions.
     ///
     /// # Errors
     ///
     /// Any [`io::Error`] from connecting, or any [`ClientError`] from
     /// the bootstrap sync or the subscribe round trip (wrapped as IO).
     pub fn connect<A: ToSocketAddrs>(addr: A, store: Box<dyn ServeBackend>) -> io::Result<Self> {
-        let mut replica = Replica::connect(addr, store)?;
-        replica.sync_once().map_err(io::Error::from)?;
-        let applied = replica.applied_epoch();
-        let (_info, sub) = replica
-            .client()
-            .session()
-            .subscribe(applied)
-            .map_err(io::Error::from)?;
+        Self::start(addr, Arc::from(store), PullStats::default())
+    }
+
+    /// Like [`connect`](Self::connect), but bootstraps `store` from a
+    /// durable epoch log instead of a `FullSync` over the wire: replays
+    /// the log's newest checkpoint plus its diff tail into the store
+    /// (each epoch applied as one atomic batch), then catches up by
+    /// diff from the log's head — **zero full-sync bytes** while that
+    /// head is still in the source's feed ring — and subscribes. An
+    /// empty log seeds nothing and the bootstrap is a full sync, as
+    /// with `connect`.
+    ///
+    /// Seeding replicas from a log file (shipped, or on shared storage)
+    /// keeps a fleet bootstrap from hammering the primary with `O(n)`
+    /// full transfers.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` if `store` is non-empty (seeding assumes a fresh
+    /// store); the log's [`LogError`](pathcopy_durable::LogError)
+    /// wrapped as IO; otherwise as [`connect`](Self::connect).
+    pub fn connect_seeded<A: ToSocketAddrs>(
+        addr: A,
+        store: Box<dyn ServeBackend>,
+        log: &EpochLog,
+    ) -> io::Result<Self> {
+        if !store.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "log seeding requires a fresh, empty replica store",
+            ));
+        }
+        let head = log.replay_into(store.as_ref()).map_err(io::Error::other)?;
+        let mut stats = PullStats::default();
+        if head > 0 {
+            stats.applied_epoch = head;
+            stats.log_seeds = 1;
+            stats.log_seed_entries = store.len() as u64;
+        }
+        Self::start(addr, Arc::from(store), stats)
+    }
+
+    /// The shared start path: catch `store` up from `stats.applied_epoch`
+    /// (`0` = a full sync) and subscribe at the epoch reached.
+    fn start<A: ToSocketAddrs>(
+        addr: A,
+        store: Arc<dyn ServeBackend>,
+        stats: PullStats,
+    ) -> io::Result<Self> {
+        let mut pull = Pull {
+            client: Client::connect(addr)?,
+            store,
+            stats,
+        };
+        pull.sync()?;
+        let (_info, sub) = pull.client.session().subscribe(pull.stats.applied_epoch)?;
         Ok(PushReplica {
-            replica,
+            pull,
             sub,
             relay: None,
             stats: PushStats::default(),
@@ -270,26 +461,34 @@ impl PushReplica {
         Arc::clone(&self.metrics)
     }
 
-    /// The wrapped pull engine (for its stats and store accessors).
-    pub fn replica(&self) -> &Replica {
-        &self.replica
+    /// The local store, shared: reads served from this handle see the
+    /// replica's latest applied epoch. Serve it over TCP with
+    /// [`serve_relay`](Self::serve_relay).
+    pub fn store(&self) -> Arc<dyn ServeBackend> {
+        Arc::clone(&self.pull.store)
     }
 
     /// The feed epoch the local store currently equals.
     pub fn applied_epoch(&self) -> Epoch {
-        self.replica.applied_epoch()
+        self.pull.stats.applied_epoch
     }
 
-    /// The pull engine's counters — in the push steady state
+    /// The pull path's counters — in the push steady state
     /// `diff_pulls` stays frozen, which is the cheap way to prove no
     /// request traffic reached upstream.
-    pub fn pull_stats(&self) -> ReplicaStatsSnapshot {
-        self.replica.stats()
+    pub fn pull_stats(&self) -> PullStats {
+        self.pull.stats
     }
 
     /// The push path's counters.
     pub fn push_stats(&self) -> PushStats {
         self.stats
+    }
+
+    /// Bytes the upstream connection has moved so far, both directions
+    /// (exact whenever no request is in flight).
+    pub fn primary_wire_bytes(&self) -> pathcopy_core::ByteCountersSnapshot {
+        self.pull.client.wire_bytes()
     }
 
     /// Spawns a serving endpoint over this replica's store and starts
@@ -298,7 +497,9 @@ impl PushReplica {
     /// from) the returned address exactly as they would the primary,
     /// under the primary's epoch numbers. The feed is seeded at the
     /// currently applied epoch so a subscriber arriving before the
-    /// next push still finds a head to sync against.
+    /// next push still finds a head to sync against. The endpoint
+    /// serves the shared store directly: the pump is its only writer,
+    /// and readers see coherent snapshots of the last applied epoch.
     ///
     /// # Errors
     ///
@@ -310,8 +511,7 @@ impl PushReplica {
         if config.trace.is_none() {
             config.trace = self.flight.clone();
         }
-        let handle =
-            pathcopy_server::spawn(Box::new(RelayBackend::new(self.replica.store())), config)?;
+        let handle = pathcopy_server::spawn(Box::new(self.store()), config)?;
         handle.register_metrics_source(self.metrics());
         let applied = self.applied_epoch();
         if applied > 0 {
@@ -368,9 +568,9 @@ impl PushReplica {
         if frame.from == applied {
             let started = Instant::now();
             if !frame.entries.is_empty() {
-                self.replica.store().transact(&diff_to_ops(&frame.entries));
+                self.pull.store.transact(&diff_to_ops(&frame.entries));
             }
-            self.replica.record_applied(frame.epoch);
+            self.pull.stats.applied_epoch = frame.epoch;
             self.stats.pushes_applied += 1;
             self.stats.push_entries += frame.entries.len() as u64;
             // A traced frame gets its apply recorded as a span under
@@ -412,25 +612,34 @@ impl PushReplica {
             // publish burst). Repair by pulling, then resubscribe so
             // the server knows our new position.
             self.stats.push_gaps += 1;
-            self.catch_up()
+            self.sync_now()?;
+            Ok(PushOutcome::CaughtUp {
+                to: self.applied_epoch(),
+            })
         }
     }
 
-    /// Anti-entropy fallback: one pull catch-up plus a fresh
-    /// subscription, mirrored downstream. Push delivery repairs gaps
-    /// only when a *later* frame arrives to reveal them — a lost push
-    /// followed by silence lags forever. A production loop calls this
-    /// when [`pump`](Self::pump) keeps returning [`PushOutcome::Idle`]
-    /// while an external signal (watermarked read traffic, a lag
-    /// probe) says the feed has moved. Returns the epoch the store now
-    /// equals.
+    /// Anti-entropy: one pull catch-up (a diff, or a chunked full sync
+    /// after lagging past the source's feed ring) plus a fresh
+    /// subscription at the epoch reached, mirrored downstream. Push
+    /// delivery repairs gaps only when a *later* frame arrives to
+    /// reveal them — a lost push followed by silence lags forever. A
+    /// production loop calls this when [`pump`](Self::pump) keeps
+    /// returning [`PushOutcome::Idle`] while an external signal
+    /// (watermarked read traffic, the source's `Gauges` feed head) says
+    /// the feed has moved.
     ///
     /// # Errors
     ///
     /// Any [`ClientError`] from the pull or the resubscribe.
-    pub fn sync_now(&mut self) -> Result<Epoch, ClientError> {
-        self.catch_up()?;
-        Ok(self.applied_epoch())
+    pub fn sync_now(&mut self) -> Result<SyncOutcome, ClientError> {
+        let outcome = self.pull.sync()?;
+        let to = self.applied_epoch();
+        let (_info, sub) = self.pull.client.session().subscribe(to)?;
+        self.sub = sub;
+        self.stats.resubscribes += 1;
+        self.mirror(to, None);
+        Ok(outcome)
     }
 
     /// Fault injection: receives one push within `timeout` and
@@ -441,18 +650,6 @@ impl PushReplica {
     /// production loop has no reason to call this.
     pub fn drop_one_push(&mut self, timeout: Duration) -> Result<Option<Epoch>, ClientError> {
         Ok(self.sub.recv_timeout(timeout)?.map(|frame| frame.epoch))
-    }
-
-    /// Pull-repairs a gap and re-arms the subscription at the new
-    /// position, mirroring the result downstream.
-    fn catch_up(&mut self) -> Result<PushOutcome, ClientError> {
-        self.replica.sync_once()?;
-        let to = self.applied_epoch();
-        let (_info, sub) = self.replica.client().session().subscribe(to)?;
-        self.sub = sub;
-        self.stats.resubscribes += 1;
-        self.mirror(to, None);
-        Ok(PushOutcome::CaughtUp { to })
     }
 
     /// Mirrors `epoch` into the relay feed, if this replica serves one.

@@ -2,14 +2,16 @@
 //! a randomized pull schedule on the replica, and a deliberately tiny
 //! feed ring — after **every** sync the replica's store must equal the
 //! primary state at its applied epoch, whether it got there by an
-//! incremental diff or by the lag-past-ring full-resync path.
+//! incremental diff or by the lag-past-ring full-resync path. The
+//! replica never pumps here, so every catch-up is a pull
+//! ([`PushReplica::sync_now`]) and the pushes it is sent stay queued.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use proptest::prelude::*;
 
-use pathcopy_replica::{Replica, SyncOutcome};
+use pathcopy_replica::{PushReplica, SyncOutcome};
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{backend, Client, ServerConfig, ServerHandle};
 
@@ -38,7 +40,7 @@ fn feed_server(feed_capacity: usize) -> ServerHandle {
     .expect("bind ephemeral loopback port")
 }
 
-fn replica_state(replica: &Replica) -> Vec<(i64, i64)> {
+fn replica_state(replica: &PushReplica) -> Vec<(i64, i64)> {
     let (entries, complete) =
         replica
             .store()
@@ -60,18 +62,18 @@ proptest! {
         // epoch and forces the full-resync path.
         let server = feed_server(2);
         let mut writer = Client::connect(server.addr()).unwrap();
-        let mut replica = Replica::connect(
+        let mut oracle: BTreeMap<i64, i64> = BTreeMap::new();
+
+        // Seed + bootstrap: connecting is always a full transfer.
+        writer.insert(7, 70).unwrap();
+        oracle.insert(7, 70);
+        let mut replica = PushReplica::connect(
             server.addr(),
             backend::by_name("sharded_map_8").unwrap(),
         )
         .unwrap();
-        let mut oracle: BTreeMap<i64, i64> = BTreeMap::new();
-
-        // Seed + bootstrap: the first sync is always a full transfer.
-        writer.insert(7, 70).unwrap();
-        oracle.insert(7, 70);
-        let out = replica.sync_once().unwrap();
-        prop_assert!(matches!(out, SyncOutcome::FullSync { .. }));
+        let boot = replica.pull_stats();
+        prop_assert_eq!((boot.full_syncs, boot.diff_pulls), (1, 0));
         prop_assert_eq!(
             replica_state(&replica),
             oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
@@ -92,7 +94,7 @@ proptest! {
             }
             let epoch = writer.publish().unwrap();
             if pulls[i % pulls.len()] {
-                let out = replica.sync_once().unwrap();
+                let out = replica.sync_now().unwrap();
                 // Whichever path it took, the replica must now equal the
                 // primary state at its applied epoch. Both paths land on
                 // the feed head, which (no concurrent writers here) is
@@ -111,7 +113,7 @@ proptest! {
         }
 
         // Final catch-up always converges.
-        replica.sync_once().unwrap();
+        replica.sync_now().unwrap();
         prop_assert_eq!(
             replica_state(&replica),
             oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
@@ -124,16 +126,16 @@ proptest! {
 fn lagging_past_the_ring_forces_a_full_resync_that_still_converges() {
     let server = feed_server(2);
     let mut writer = Client::connect(server.addr()).unwrap();
-    let mut replica =
-        Replica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
-
     for k in 0..64 {
         writer.insert(k, k).unwrap();
     }
-    assert!(matches!(
-        replica.sync_once().unwrap(),
-        SyncOutcome::FullSync { .. }
-    ));
+    let mut replica =
+        PushReplica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
+    assert_eq!(
+        replica.pull_stats().full_syncs,
+        1,
+        "bootstrap is a full sync"
+    );
     let bootstrapped_at = replica.applied_epoch();
 
     // Three publishes against a capacity-2 ring retire the replica's
@@ -142,14 +144,14 @@ fn lagging_past_the_ring_forces_a_full_resync_that_still_converges() {
         writer.insert(round, -round).unwrap();
         writer.publish().unwrap();
     }
-    let before = replica.stats();
+    let before = replica.pull_stats();
     assert_eq!(before.ring_fallbacks, 0);
-    let out = replica.sync_once().unwrap();
+    let out = replica.sync_now().unwrap();
     assert!(
         matches!(out, SyncOutcome::FullSync { .. }),
         "retired epoch must fall back to full sync, got {out:?}"
     );
-    let after = replica.stats();
+    let after = replica.pull_stats();
     assert_eq!(after.ring_fallbacks, 1, "the fallback was counted");
     assert!(after.applied_epoch > bootstrapped_at);
 
@@ -175,14 +177,16 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
     writer.insert(1, 0).unwrap();
     writer.publish().unwrap();
 
-    let mut replica = Replica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
-    replica.sync_once().unwrap();
-    let replica_server = replica.serve(ServerConfig::default()).unwrap();
-    let replica_addr = replica_server.addr();
+    let mut replica =
+        PushReplica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
+    let replica_addr = replica.serve_relay(ServerConfig::default()).unwrap();
 
     let done = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
         let done_ref = &done;
+        // Borrowed, not moved: the replica's endpoint must outlive the
+        // reader below.
+        let replica = &mut replica;
         s.spawn(move || {
             for round in 1..=60i64 {
                 writer.insert(0, round).unwrap();
@@ -194,9 +198,9 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
         s.spawn(move || {
             // The sync loop, racing the writer.
             while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
-                replica.sync_once().unwrap();
+                replica.sync_now().unwrap();
             }
-            replica.sync_once().unwrap();
+            replica.sync_now().unwrap();
         });
 
         let mut reader = Client::connect(replica_addr).unwrap();
@@ -212,6 +216,6 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
             coherent_reads += 1;
         }
     });
-    replica_server.shutdown();
+    drop(replica);
     server.shutdown();
 }

@@ -78,11 +78,10 @@ fn pump_until_stopped(node: &mut PushReplica, stop: &AtomicBool, done: &AtomicBo
 }
 
 fn state_of(node: &PushReplica) -> Vec<(i64, i64)> {
-    let (entries, complete) =
-        node.replica()
-            .store()
-            .snapshot()
-            .range(Bound::Unbounded, Bound::Unbounded, 0);
+    let (entries, complete) = node
+        .store()
+        .snapshot()
+        .range(Bound::Unbounded, Bound::Unbounded, 0);
     assert!(complete);
     entries
 }

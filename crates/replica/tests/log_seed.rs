@@ -1,15 +1,16 @@
 //! Log-seeded replica bootstrap: a replica loads its store from the
-//! primary's durable epoch log with **zero** wire bytes — asserted via
-//! the client's exact `ByteCounters` accounting — and then converges
+//! primary's durable epoch log with **zero** full-sync bytes — asserted
+//! via the client's exact `ByteCounters` accounting: the only traffic
+//! is one empty diff pull and the subscription — and then converges
 //! through the normal incremental diff path.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
-use pathcopy_replica::{Replica, SyncOutcome};
+use pathcopy_replica::{PushReplica, SyncOutcome};
 use pathcopy_server::backend::{self, ShardedServe};
-use pathcopy_server::{Client, FeedSink, ServerConfig, ServerHandle};
+use pathcopy_server::{Client, FeedInfo, FeedSink, Request, Response, ServerConfig, ServerHandle};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pathcopy-logseed-{name}-{}", std::process::id()));
@@ -40,8 +41,14 @@ fn logged_server(dir: &std::path::Path) -> (ServerHandle, Arc<EpochLog>) {
     (server, log)
 }
 
+/// Bytes one frame carrying `body` occupies on the wire: the `u32`
+/// length prefix plus the body.
+fn framed(body: &[u8]) -> u64 {
+    4 + body.len() as u64
+}
+
 #[test]
-fn log_seed_moves_zero_wire_bytes_then_converges_via_diffs() {
+fn log_seed_moves_zero_full_sync_bytes_then_converges_via_diffs() {
     let dir = scratch("zero-bytes");
     let (server, log) = logged_server(&dir);
     let mut writer = Client::connect(server.addr()).unwrap();
@@ -51,21 +58,29 @@ fn log_seed_moves_zero_wire_bytes_then_converges_via_diffs() {
     let seeded_epoch = writer.publish().unwrap();
     assert_eq!(log.head(), seeded_epoch, "publish persisted before reply");
 
-    // Bootstrap from the log: the connection exists but stays silent.
-    let mut replica =
-        Replica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
-    let head = replica.seed_from_log(&log).unwrap();
-    assert_eq!(head, seeded_epoch);
+    // Bootstrap from the log: the wire carries one empty diff pull and
+    // the subscription, nothing else.
+    let mut replica = PushReplica::connect_seeded(
+        server.addr(),
+        backend::by_name("sharded_map_8").unwrap(),
+        &log,
+    )
+    .unwrap();
+    assert_eq!(replica.applied_epoch(), seeded_epoch);
+    let stats = replica.pull_stats();
+    assert_eq!((stats.log_seeds, stats.log_seed_entries), (1, 200));
+    assert_eq!((stats.full_syncs, stats.full_bytes), (0, 0));
+    assert_eq!((stats.diff_pulls, stats.diff_entries), (1, 0));
+    let mut subscribe = Vec::new();
+    Request::SubscribePush { from: seeded_epoch }.encode(&mut subscribe);
+    let mut ack = Vec::new();
+    Response::SubscribeAck(FeedInfo::default()).encode(&mut ack);
     let wire = replica.primary_wire_bytes();
     assert_eq!(
-        (wire.sent, wire.received),
-        (0, 0),
-        "log seeding must move zero wire bytes"
+        wire.sent + wire.received,
+        stats.diff_bytes + framed(&subscribe) + framed(&ack),
+        "log seeding moves only the catch-up pull and the subscription"
     );
-    let stats = replica.stats();
-    assert_eq!(stats.applied_epoch, seeded_epoch);
-    assert_eq!((stats.log_seeds, stats.log_seed_entries), (1, 200));
-    assert_eq!((stats.full_syncs, stats.diff_pulls), (0, 0));
     assert_eq!(replica.store().get(7), Some(21), "seeded state is live");
 
     // Converge: new writes flow down the cheap diff path, never a full
@@ -73,12 +88,12 @@ fn log_seed_moves_zero_wire_bytes_then_converges_via_diffs() {
     writer.insert(1000, 1).unwrap();
     writer.remove(0).unwrap();
     writer.publish().unwrap();
-    let out = replica.sync_once().unwrap();
+    let out = replica.sync_now().unwrap();
     assert!(
         matches!(out, SyncOutcome::Diff { changes: 2, .. }),
         "expected a 2-entry diff, got {out:?}"
     );
-    let stats = replica.stats();
+    let stats = replica.pull_stats();
     assert_eq!(stats.full_syncs, 0, "no full sync, ever");
     assert_eq!(
         stats.full_bytes, 0,
@@ -89,44 +104,42 @@ fn log_seed_moves_zero_wire_bytes_then_converges_via_diffs() {
     assert_eq!(replica.store().get(0), None);
     assert_eq!(replica.store().len(), 200, "-1 removed, +1 added");
 
+    drop(replica);
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn seeding_a_synced_or_dirty_replica_is_refused() {
+fn seeding_a_dirty_store_is_refused_and_an_empty_log_seeds_nothing() {
     let dir = scratch("refused");
     let (server, log) = logged_server(&dir);
     let mut writer = Client::connect(server.addr()).unwrap();
     writer.insert(1, 1).unwrap();
     writer.publish().unwrap();
 
-    // Already synced over the wire: seeding would double-apply.
-    let mut synced =
-        Replica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
-    synced.sync_once().unwrap();
-    let err = synced.seed_from_log(&log).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-
-    // Never synced but the store has local writes: same refusal.
+    // The store has local writes: seeding would mix them into the log's
+    // state.
     let dirty_store = backend::by_name("sharded_map_8").unwrap();
     dirty_store.insert(9, 9);
-    let mut dirty = Replica::connect(server.addr(), dirty_store).unwrap();
-    let err = dirty.seed_from_log(&log).unwrap_err();
+    let err = PushReplica::connect_seeded(server.addr(), dirty_store, &log)
+        .err()
+        .expect("a dirty store is refused");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 
-    // An empty log seeds nothing and leaves the replica bootstrappable.
+    // An empty log seeds nothing: the bootstrap is a full sync.
     let empty_dir = scratch("empty-log");
     let (empty_log, _) = EpochLog::open(&empty_dir, LogConfig::default()).unwrap();
-    let mut fresh =
-        Replica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
-    assert_eq!(fresh.seed_from_log(&empty_log).unwrap(), 0);
-    assert_eq!(fresh.applied_epoch(), 0);
-    assert!(matches!(
-        fresh.sync_once().unwrap(),
-        SyncOutcome::FullSync { .. }
-    ));
+    let fresh = PushReplica::connect_seeded(
+        server.addr(),
+        backend::by_name("sharded_map_8").unwrap(),
+        &empty_log,
+    )
+    .unwrap();
+    let stats = fresh.pull_stats();
+    assert_eq!((stats.log_seeds, stats.full_syncs), (0, 1));
+    assert_eq!(fresh.store().get(1), Some(1));
 
+    drop(fresh);
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&empty_dir).unwrap();

@@ -3,8 +3,10 @@
 //! bytes** than a full sync — O(changes) vs O(n) — measured with the
 //! client's exact wire-byte counters.
 
+use std::time::Duration;
+
 use pathcopy_concurrent::ShardedTreapMap;
-use pathcopy_replica::{Replica, SyncOutcome};
+use pathcopy_replica::{PushReplica, SyncOutcome};
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{backend, Client, ServerConfig};
 
@@ -22,11 +24,9 @@ fn diff_catch_up_moves_asymptotically_fewer_bytes_than_full_sync() {
     let addr = server.addr();
 
     // Bootstrap a replica: this is the O(n) full transfer.
-    let mut replica = Replica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
-    assert!(matches!(
-        replica.sync_once().unwrap(),
-        SyncOutcome::FullSync { .. }
-    ));
+    let mut replica =
+        PushReplica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
+    assert_eq!(replica.pull_stats().full_syncs, 1);
 
     // Localized write burst: 500 keys inside a 2 000-key window of the
     // 100k key space, then publish.
@@ -35,10 +35,15 @@ fn diff_catch_up_moves_asymptotically_fewer_bytes_than_full_sync() {
         let k = (i * 7) % 2_000; // repeated keys: real overwrite locality
         writer.insert(k, -i).unwrap();
     }
-    writer.publish().unwrap();
+    let epoch = writer.publish().unwrap();
+    // The replica is subscribed, so the epoch is also pushed to it.
+    // Take that frame off the connection unapplied first, so the pull's
+    // byte window below holds the pull alone.
+    let pushed = replica.drop_one_push(Duration::from_secs(10)).unwrap();
+    assert_eq!(pushed, Some(epoch));
 
     // Catch up via the diff path.
-    let out = replica.sync_once().unwrap();
+    let out = replica.sync_now().unwrap();
     let SyncOutcome::Diff { changes, .. } = out else {
         panic!("catch-up must be incremental, got {out:?}")
     };
@@ -48,7 +53,7 @@ fn diff_catch_up_moves_asymptotically_fewer_bytes_than_full_sync() {
     );
     assert!(changes > 0);
 
-    let stats = replica.stats();
+    let stats = replica.pull_stats();
     assert!(
         stats.full_bytes >= (MAP_SIZE as u64) * 16,
         "full sync carried the whole map: {} bytes",

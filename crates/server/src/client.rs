@@ -918,17 +918,20 @@ impl Client {
         }
     }
 
-    /// Reads the feed's bounds: head epoch, oldest retained epoch, ring
-    /// capacity.
+    /// The feed head, read from the [`gauges`](Self::gauges) scrape.
+    /// Only [`FeedInfo::head`] is filled in; `oldest` and `capacity`
+    /// read `0` (the ring bounds travel only in a subscription's
+    /// [`Response::SubscribeAck`]). Kept because the repository
+    /// benchmark (`perfbench/`) reads the head through it.
     ///
     /// # Errors
     ///
-    /// The shared [`call`](Self::call) failure modes.
+    /// As [`gauges`](Self::gauges).
     pub fn feed_info(&mut self) -> Result<FeedInfo, ClientError> {
-        match self.call(&Request::Subscribe)? {
-            Response::FeedInfo(info) => Ok(info),
-            _ => Err(ClientError::Unexpected("Subscribe")),
-        }
+        Ok(FeedInfo {
+            head: self.gauges()?.feed_head,
+            ..FeedInfo::default()
+        })
     }
 
     /// Pulls everything that changed between published epoch `from` and
@@ -1092,6 +1095,19 @@ mod tests {
         spawn(Box::new(ShardedServe::with_shards(8)), config).expect("bind ephemeral port")
     }
 
+    const REPLY_LIMIT: Duration = Duration::from_secs(10);
+
+    /// [`Ticket::wait`] with a deadline: a reply that never comes fails
+    /// the test instead of hanging it.
+    fn wait_bounded(ticket: Ticket) -> Result<Response, ClientError> {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(ticket.wait());
+        });
+        rx.recv_timeout(REPLY_LIMIT)
+            .unwrap_or_else(|_| panic!("no reply within {REPLY_LIMIT:?}"))
+    }
+
     #[test]
     fn pipelined_tickets_resolve_by_id_not_order() {
         let server = sharded_server(ServerConfig::default());
@@ -1110,7 +1126,7 @@ mod tests {
             })
             .collect();
         for ticket in tickets.into_iter().rev() {
-            match ticket.wait().unwrap() {
+            match wait_bounded(ticket).unwrap() {
                 Response::Inserted(prev) => assert_eq!(prev, None),
                 other => panic!("unexpected response: {other:?}"),
             }
@@ -1121,7 +1137,7 @@ mod tests {
             .map(|k| (k, session.submit(&Request::Get { key: k }).unwrap()))
             .collect();
         for (k, ticket) in reads {
-            match ticket.wait().unwrap() {
+            match wait_bounded(ticket).unwrap() {
                 Response::Got(v) => assert_eq!(v, Some(k * 100)),
                 other => panic!("unexpected response: {other:?}"),
             }
@@ -1144,18 +1160,19 @@ mod tests {
         let server = sharded_server(ServerConfig::default());
         let session = Session::connect(server.addr()).unwrap();
         // Prove the session is live first.
-        session
-            .submit(&Request::Insert { key: 1, value: 1 })
-            .unwrap()
-            .wait()
-            .unwrap();
+        wait_bounded(
+            session
+                .submit(&Request::Insert { key: 1, value: 1 })
+                .unwrap(),
+        )
+        .unwrap();
         server.shutdown();
         // Every outcome must be an error, never a hang: either the
         // submit itself fails (connection reset already observed) or
         // the ticket resolves to Disconnected (clean EOF at a frame
         // boundary) or Io (reset raced the read).
         match session.submit(&Request::Get { key: 1 }) {
-            Ok(ticket) => match ticket.wait() {
+            Ok(ticket) => match wait_bounded(ticket) {
                 Err(ClientError::Io(_) | ClientError::Disconnected) => {}
                 other => panic!("expected Io/Disconnected error, got {other:?}"),
             },
@@ -1165,7 +1182,7 @@ mod tests {
         // And the session stays failed-fast afterwards.
         match session.submit(&Request::Get { key: 1 }) {
             Err(ClientError::Io(_) | ClientError::Disconnected) => {}
-            Ok(ticket) => match ticket.wait() {
+            Ok(ticket) => match wait_bounded(ticket) {
                 Err(ClientError::Io(_) | ClientError::Disconnected) => {}
                 other => panic!("expected Io/Disconnected error, got {other:?}"),
             },
@@ -1192,7 +1209,7 @@ mod tests {
         });
         let session = Session::connect(addr).unwrap();
         let ticket = session.submit(&Request::Get { key: 1 }).unwrap();
-        match ticket.wait() {
+        match wait_bounded(ticket) {
             Err(ClientError::Disconnected) => {}
             other => panic!("expected Disconnected, got {other:?}"),
         }
@@ -1200,7 +1217,7 @@ mod tests {
         // it died.
         match session.submit(&Request::Get { key: 2 }) {
             Err(ClientError::Disconnected) => {}
-            Ok(ticket) => match ticket.wait() {
+            Ok(ticket) => match wait_bounded(ticket) {
                 Err(ClientError::Disconnected) => {}
                 other => panic!("expected Disconnected, got {other:?}"),
             },

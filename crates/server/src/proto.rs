@@ -192,10 +192,6 @@ pub enum Request {
     /// version feed (a capped ring of recent snapshots replicas sync
     /// from). Replied with [`Response::Published`].
     Publish,
-    /// Read the feed's bounds — head epoch, oldest retained epoch, ring
-    /// capacity — without changing anything. Replied with
-    /// [`Response::FeedInfo`]. This is how a replica sizes its lag.
-    Subscribe,
     /// Ask for everything that changed between published epoch `from`
     /// and the feed head, as one pruned snapshot-to-snapshot diff.
     /// Replied with [`Response::EpochDiff`], or
@@ -323,8 +319,6 @@ pub enum Response {
     BatchAborted(Vec<u32>),
     /// Reply to [`Request::Publish`]: the epoch just published.
     Published(Epoch),
-    /// Reply to [`Request::Subscribe`].
-    FeedInfo(FeedInfo),
     /// Reply to [`Request::PullDiff`]: everything that changed between
     /// the requested epoch and `to` (the feed head), in ascending key
     /// order. Empty when the replica is already at the head.
@@ -408,7 +402,7 @@ pub enum Response {
 }
 
 /// Bounds of the server's version feed, carried by
-/// [`Response::FeedInfo`].
+/// [`Response::SubscribeAck`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FeedInfo {
     /// Newest published epoch (`0` = nothing published yet).
@@ -1034,7 +1028,6 @@ impl Request {
             }
             Request::Stats => out.push(10),
             Request::Publish => out.push(11),
-            Request::Subscribe => out.push(12),
             Request::PullDiff { from } => {
                 out.push(13);
                 put_u64(out, *from);
@@ -1090,7 +1083,6 @@ impl Request {
             Request::Release { .. } => 9,
             Request::Stats => 10,
             Request::Publish => 11,
-            Request::Subscribe => 12,
             Request::PullDiff { .. } => 13,
             Request::FullSync { .. } => 14,
             Request::SubscribePush { .. } => 15,
@@ -1119,7 +1111,6 @@ impl Request {
             9 => "Release",
             10 => "Stats",
             11 => "Publish",
-            12 => "Subscribe",
             13 => "PullDiff",
             14 => "FullSync",
             15 => "SubscribePush",
@@ -1206,7 +1197,7 @@ impl Request {
             },
             10 => Request::Stats,
             11 => Request::Publish,
-            12 => Request::Subscribe,
+            // 12 was `Subscribe`: retired, never reused.
             13 => Request::PullDiff { from: cur.u64()? },
             14 => Request::FullSync {
                 epoch: cur.opt_u64()?,
@@ -1369,12 +1360,6 @@ impl Response {
             Response::Published(epoch) => {
                 out.push(13);
                 put_u64(out, *epoch);
-            }
-            Response::FeedInfo(info) => {
-                out.push(14);
-                put_u64(out, info.head);
-                put_u64(out, info.oldest);
-                put_u64(out, info.capacity);
             }
             Response::EpochDiff { to, entries } => {
                 out.push(15);
@@ -1571,11 +1556,7 @@ impl Response {
                 Response::BatchAborted(failed)
             }
             13 => Response::Published(cur.u64()?),
-            14 => Response::FeedInfo(FeedInfo {
-                head: cur.u64()?,
-                oldest: cur.u64()?,
-                capacity: cur.u64()?,
-            }),
+            // 14 was `FeedInfo`: retired, never reused.
             15 => {
                 let to = cur.u64()?;
                 let n = cur.seq_len(17)?;
@@ -1921,7 +1902,6 @@ mod tests {
             Request::Release { snapshot: 11 },
             Request::Stats,
             Request::Publish,
-            Request::Subscribe,
             Request::PullDiff { from: 17 },
             Request::FullSync {
                 epoch: None,
@@ -2022,11 +2002,6 @@ mod tests {
             }),
             Response::BatchAborted(vec![0, 3, 7]),
             Response::Published(12),
-            Response::FeedInfo(FeedInfo {
-                head: 12,
-                oldest: 5,
-                capacity: 8,
-            }),
             Response::EpochDiff {
                 to: 12,
                 entries: vec![DiffEntry::Added(1, 10), DiffEntry::Removed(2, 20)],

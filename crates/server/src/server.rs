@@ -569,7 +569,6 @@ pub(crate) fn handle_request(
                 .feed
                 .publish_with(|| shared.backend.snapshot(), trace),
         ),
-        Request::Subscribe => Response::FeedInfo(shared.feed.info()),
         Request::PullDiff { from } => {
             let Some(from_snap) = shared.feed.get(from) else {
                 return Response::Error(WireError::EpochRetired(shared.feed.info().oldest));
@@ -828,7 +827,7 @@ mod tests {
         .unwrap();
         let mut c = Client::connect(server.addr()).unwrap();
 
-        let info = c.feed_info().unwrap();
+        let info = server.shared.feed.info();
         assert_eq!((info.head, info.oldest, info.capacity), (0, 0, 2));
 
         c.insert(1, 10).unwrap();

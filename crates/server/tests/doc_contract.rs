@@ -109,7 +109,6 @@ fn request_tag_table_matches_the_encoder() {
         ("Release", Request::Release { snapshot: 0 }),
         ("Stats", Request::Stats),
         ("Publish", Request::Publish),
-        ("Subscribe", Request::Subscribe),
         ("PullDiff", Request::PullDiff { from: 0 }),
         (
             "FullSync",
@@ -170,7 +169,6 @@ fn response_tag_table_matches_the_encoder() {
         ("Error", Response::Error(WireError::Malformed)),
         ("BatchAborted", Response::BatchAborted(vec![])),
         ("Published", Response::Published(0)),
-        ("FeedInfo", Response::FeedInfo(FeedInfo::default())),
         (
             "EpochDiff",
             Response::EpochDiff {
@@ -225,6 +223,30 @@ fn response_tag_table_matches_the_encoder() {
         resp.encode(&mut body);
         let row = format!("| {} | `{name}` |", tag_of(&body));
         assert!(doc.contains(&row), "response table must contain `{row}`");
+    }
+}
+
+#[test]
+fn retired_tags_are_listed_and_rejected() {
+    // Request tag 12 (`Subscribe`) and response tag 14 (`FeedInfo`) are
+    // retired: the doc's tables mark them so, and the decoder refuses
+    // them like any unknown tag.
+    let doc = doc();
+    for (table, tag) in [("request", 12u8), ("response", 14)] {
+        let row = format!("| {tag} | *(retired)* |");
+        assert!(doc.contains(&row), "{table} table must contain `{row}`");
+        let mut body = Vec::new();
+        Request::Stats.encode(&mut body);
+        body[9] = tag;
+        let err = if table == "request" {
+            Request::decode(&body).unwrap_err()
+        } else {
+            Response::decode(&body).unwrap_err()
+        };
+        assert!(
+            matches!(err, ProtoError::BadTag { what, tag: t } if what == table && t == tag),
+            "{table} tag {tag} must be BadTag, got {err:?}"
+        );
     }
 }
 

@@ -64,7 +64,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         any::<u64>().prop_map(|snapshot| Request::Release { snapshot }),
         Just(Request::Stats),
         Just(Request::Publish),
-        Just(Request::Subscribe),
         any::<u64>().prop_map(|from| Request::PullDiff { from }),
         (arb_opt_u64(), arb_opt_i64(), any::<u32>()).prop_map(|(epoch, after, limit)| {
             Request::FullSync {
@@ -206,13 +205,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         any::<u64>().prop_map(|oldest| Response::Error(WireError::EpochRetired(oldest))),
         prop::collection::vec(any::<u32>(), 0..9).prop_map(Response::BatchAborted),
         any::<u64>().prop_map(Response::Published),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(head, oldest, capacity)| {
-            Response::FeedInfo(FeedInfo {
-                head,
-                oldest,
-                capacity,
-            })
-        }),
         (any::<u64>(), prop::collection::vec(arb_diff_entry(), 0..33))
             .prop_map(|(to, entries)| Response::EpochDiff { to, entries }),
         (
@@ -344,7 +336,7 @@ proptest! {
     }
 
     #[test]
-    fn unknown_request_tags_are_rejected(tag in 22u8..=255, id in any::<u64>(), payload in prop::collection::vec(any::<u8>(), 0..16)) {
+    fn unknown_request_tags_are_rejected(tag in prop_oneof![Just(12u8), 22u8..=255], id in any::<u64>(), payload in prop::collection::vec(any::<u8>(), 0..16)) {
         let mut body = vec![PROTO_VERSION];
         body.extend(id.to_le_bytes());
         body.push(tag);
@@ -356,7 +348,7 @@ proptest! {
     }
 
     #[test]
-    fn unknown_response_tags_are_rejected(tag in 25u8..=255, id in any::<u64>(), payload in prop::collection::vec(any::<u8>(), 0..16)) {
+    fn unknown_response_tags_are_rejected(tag in prop_oneof![Just(14u8), 25u8..=255], id in any::<u64>(), payload in prop::collection::vec(any::<u8>(), 0..16)) {
         let mut body = vec![PROTO_VERSION];
         body.extend(id.to_le_bytes());
         body.push(tag);

@@ -1,4 +1,4 @@
-//! The replication subsystem end to end: one primary, two snapshot-diff
+//! The replication subsystem end to end: one primary, two push
 //! replicas, a writer committing atomic pair-transfers and publishing
 //! epochs, and a reader per replica verifying that replicas only ever
 //! expose **frozen published versions** — never a half-applied epoch.
@@ -13,16 +13,17 @@
 //!
 //! The final table shows why this scales reads: each replica
 //! bootstrapped once (O(n) bytes) and then followed the feed with
-//! pruned diffs (O(changes) bytes per epoch).
+//! pushed pruned diffs (O(changes) bytes per epoch).
 //!
 //! ```text
 //! cargo run --release --example cluster_demo
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Duration;
 
 use path_copying::prelude::BatchOp;
-use pathcopy_replica::cluster;
+use pathcopy_replica::{PushOutcome, PushReplica};
 use pathcopy_server::{backend, Client, ServerConfig};
 
 const PAIRS: i64 = 256;
@@ -48,27 +49,37 @@ fn main() {
         setup.publish().expect("epoch 1");
     }
 
-    // Two read replicas: bootstrap (full sync) + their own TCP endpoints.
-    let nodes = cluster(addr, 2, "sharded_map_8").expect("stand up replicas");
-    for (i, node) in nodes.iter().enumerate() {
+    // Two read replicas: bootstrap (full sync) + subscription + their
+    // own TCP endpoints.
+    let mut nodes = Vec::new();
+    let mut reader_addrs = Vec::new();
+    for i in 0..2 {
+        let store = backend::by_name("sharded_map_8").expect("registered backend");
+        let mut node = PushReplica::connect(addr, store).expect("stand up replica");
+        let serving = node
+            .serve_relay(ServerConfig::default())
+            .expect("bind replica listener");
         println!(
-            "replica[{i}]: serving on {} (bootstrapped at epoch {})",
-            node.server.addr(),
-            node.replica.applied_epoch()
+            "replica[{i}]: serving on {serving} (bootstrapped at epoch {})",
+            node.applied_epoch()
         );
+        nodes.push(node);
+        reader_addrs.push(serving);
     }
-    let reader_addrs: Vec<_> = nodes.iter().map(|n| n.server.addr()).collect();
 
     let writer_done = AtomicBool::new(false);
+    let final_epoch = AtomicU64::new(0);
     let mut final_nodes = Vec::new();
     let mut reader_reports = Vec::new();
     std::thread::scope(|s| {
         let writer_done = &writer_done;
+        let final_epoch = &final_epoch;
 
         // The writer: atomic pair transfers on the primary, one published
         // epoch per round.
         s.spawn(move || {
             let mut writer = Client::connect(addr).expect("writer connect");
+            let mut epoch = 0;
             for round in 1..=ROUNDS {
                 let pair = (round % PAIRS) * 2;
                 writer
@@ -78,23 +89,31 @@ fn main() {
                         BatchOp::Insert(VERSION_KEY, round),
                     ])
                     .expect("pair transfer");
-                writer.publish().expect("publish epoch");
+                epoch = writer.publish().expect("publish epoch");
             }
+            final_epoch.store(epoch, Ordering::Release);
             writer_done.store(true, Ordering::Release);
         });
 
-        // The sync loops: one per replica, pulling diffs until the writer
-        // finishes and the replica has caught up to the final epoch.
-        let mut sync_handles = Vec::new();
+        // The pump loops: one per replica, applying pushed diffs until
+        // the writer finishes and the replica has reached the final
+        // epoch. A lost push followed by silence never reveals its gap,
+        // so a quiet feed short of the final epoch falls back to a pull.
+        let mut pump_handles = Vec::new();
         for node in nodes {
-            sync_handles.push(s.spawn(move || {
+            pump_handles.push(s.spawn(move || {
                 let mut node = node;
                 loop {
-                    let outcome = node.replica.sync_once().expect("sync");
-                    if writer_done.load(Ordering::Acquire) {
-                        if let pathcopy_replica::SyncOutcome::Diff { changes: 0, .. } = outcome {
-                            return node;
-                        }
+                    let outcome = node.pump(Duration::from_millis(20)).expect("pump");
+                    if !writer_done.load(Ordering::Acquire) {
+                        continue;
+                    }
+                    let target = final_epoch.load(Ordering::Acquire);
+                    if node.applied_epoch() >= target {
+                        return node;
+                    }
+                    if outcome == PushOutcome::Idle {
+                        node.sync_now().expect("anti-entropy sync");
                     }
                 }
             }));
@@ -145,8 +164,8 @@ fn main() {
         for h in reader_handles {
             reader_reports.push(h.join().expect("reader panicked"));
         }
-        for h in sync_handles {
-            final_nodes.push(h.join().expect("sync loop panicked"));
+        for h in pump_handles {
+            final_nodes.push(h.join().expect("pump loop panicked"));
         }
     });
 
@@ -154,29 +173,33 @@ fn main() {
         println!("reader[{i}]: {scans} coherent scans, 0 torn pairs, final version {version}");
     }
     println!(
-        "\n{:>8} {:>14} {:>12} {:>12} {:>12} {:>12}",
-        "replica", "applied_epoch", "diff_pulls", "diff_bytes", "full_bytes", "bytes/epoch"
+        "\n{:>8} {:>14} {:>10} {:>10} {:>12} {:>12} {:>12}",
+        "replica", "applied_epoch", "pushes", "gaps", "push_bytes", "full_bytes", "bytes/epoch"
     );
+    let final_epoch = final_epoch.load(Ordering::Acquire);
     for (i, node) in final_nodes.iter().enumerate() {
-        let s = node.replica.stats();
+        let (pull, push) = (node.pull_stats(), node.push_stats());
+        let wire = node.primary_wire_bytes();
+        // Everything the upstream connection moved after the bootstrap.
+        let push_bytes = wire.sent + wire.received - pull.full_bytes;
         println!(
-            "{:>8} {:>14} {:>12} {:>12} {:>12} {:>12.1}",
+            "{:>8} {:>14} {:>10} {:>10} {:>12} {:>12} {:>12.1}",
             i,
-            s.applied_epoch,
-            s.diff_pulls,
-            s.diff_bytes,
-            s.full_bytes,
-            s.diff_bytes as f64 / s.diff_pulls.max(1) as f64,
+            pull.applied_epoch,
+            push.pushes_applied,
+            push.push_gaps,
+            push_bytes,
+            pull.full_bytes,
+            push_bytes as f64 / push.pushes_applied.max(1) as f64,
         );
-        assert_eq!(s.lag(), 0, "replica {i} caught up");
+        assert_eq!(pull.applied_epoch, final_epoch, "replica {i} caught up");
     }
     println!(
-        "\ndiff catch-up moved O(changes) bytes per epoch; the bootstrap paid O(n) once — \
+        "\npushed diffs moved O(changes) bytes per epoch; the bootstrap paid O(n) once — \
          that asymmetry is the paper's pruned diff doing replication."
     );
-    for node in final_nodes {
-        node.server.shutdown();
-    }
+    // Replica endpoints shut down when their nodes drop.
+    drop(final_nodes);
     server.shutdown();
     println!("cluster shut down cleanly");
 }

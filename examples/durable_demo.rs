@@ -3,7 +3,7 @@
 //! with a **torn tail** (a half-written record at the end of the newest
 //! segment), recovery that truncates the tear and continues the epoch
 //! sequence, a point-in-time restore of an old epoch, and a replica
-//! that bootstraps from the log with **zero wire bytes**.
+//! that bootstraps from the log with **zero full-sync bytes**.
 //!
 //! The log reuses the proto-v3 wire encoding for its records (v3
 //! bodies with request id `0`): a checkpoint is a run of `SyncPage`
@@ -17,9 +17,10 @@
 
 use std::io::Write as _;
 use std::sync::Arc;
+use std::time::Duration;
 
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
-use pathcopy_replica::Replica;
+use pathcopy_replica::{PushOutcome, PushReplica};
 use pathcopy_server::{backend, Client, FeedSink, ServerConfig};
 
 const ACCOUNTS: i64 = 500;
@@ -141,31 +142,45 @@ fn main() {
     );
     println!("resume: first post-recovery publish is epoch {resumed}");
 
-    // ── Replica bootstrap from the log: zero wire bytes ─────────────
-    let mut replica = Replica::connect(
+    // ── Replica bootstrap from the log: zero full-sync bytes ────────
+    let mut replica = PushReplica::connect_seeded(
         server.addr(),
         backend::by_name("sharded_map_8").expect("registered backend"),
+        &log,
     )
-    .expect("replica connect");
-    let seeded = replica.seed_from_log(&log).expect("seed from log");
-    let wire = replica.primary_wire_bytes();
+    .expect("seed from log");
+    let stats = replica.pull_stats();
     assert_eq!(
-        (wire.sent, wire.received),
-        (0, 0),
-        "the log replaced the wire"
+        (stats.log_seeds, stats.full_syncs, stats.full_bytes),
+        (1, 0, 0),
+        "the log replaced the full sync"
     );
+    let wire = replica.primary_wire_bytes();
     println!(
-        "seed: replica at epoch {seeded} with {} keys — {} wire bytes moved",
+        "seed: replica at epoch {} with {} keys — 0 full-sync bytes; {} wire bytes for one \
+         diff pull and the subscription",
+        replica.applied_epoch(),
         replica.store().len(),
         wire.sent + wire.received
     );
-    let outcome = replica.sync_once().expect("converge");
-    println!("converge: one incremental sync → {outcome:?}");
     assert_eq!(
         replica.store().get(0),
         Some(777),
         "caught up to the live head"
     );
+    writer.insert(1, 888).expect("post-seed write");
+    let next = writer.publish().expect("post-seed publish");
+    let outcome = replica.pump(Duration::from_secs(10)).expect("converge");
+    println!("converge: the next epoch arrives as a push → {outcome:?}");
+    assert_eq!(
+        outcome,
+        PushOutcome::Pushed {
+            epoch: next,
+            changes: 1
+        }
+    );
+    assert_eq!(replica.store().get(1), Some(888));
+    drop(replica);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).expect("demo cleanup");

@@ -234,8 +234,8 @@
 //! log-shipping replication wants: instead of streaming full state, a
 //! primary publishes a monotone **version feed** — a capped ring of
 //! recent snapshots keyed by epoch, nearly free to retain because the
-//! versions share all unchanged subtrees — and [`pathcopy_replica`]
-//! replicas catch up by pulling `diff(applied, head)` over the wire.
+//! versions share all unchanged subtrees — and each [`pathcopy_replica`]
+//! replica is pushed `diff(previous, epoch)` for every epoch published.
 //! Bootstrap (and falling too far behind the ring) goes through a
 //! chunked `FullSync` that can never trip the frame cap; every diff is
 //! applied to the replica's local backend as **one atomic batch**, so
@@ -244,7 +244,9 @@
 //! points at replicas unchanged (`loadgen --replicas N`):
 //!
 //! ```
-//! use path_copying::pathcopy_replica::{Replica, SyncOutcome};
+//! use std::time::Duration;
+//!
+//! use path_copying::pathcopy_replica::{PushOutcome, PushReplica};
 //! use pathcopy_server::{backend, Client, ServerConfig};
 //!
 //! let primary = pathcopy_server::spawn(
@@ -256,24 +258,23 @@
 //! writer.insert(1, 10).unwrap();
 //!
 //! // Bootstrap is a chunked full transfer...
-//! let mut replica = Replica::connect(
+//! let mut replica = PushReplica::connect(
 //!     primary.addr(),
 //!     backend::by_name("sharded_map_8").unwrap(),
 //! )
 //! .unwrap();
-//! replica.sync_once().unwrap();
 //! assert_eq!(replica.store().get(1), Some(10));
 //!
-//! // ...after which each published epoch syncs as a pruned diff:
-//! // O(changes) bytes, not O(map).
+//! // ...after which each published epoch arrives as a pushed pruned
+//! // diff: O(changes) bytes, not O(map).
 //! writer.insert(2, 20).unwrap();
-//! writer.publish().unwrap();
-//! assert!(matches!(
-//!     replica.sync_once().unwrap(),
-//!     SyncOutcome::Diff { changes: 1, .. }
-//! ));
+//! let epoch = writer.publish().unwrap();
+//! assert_eq!(
+//!     replica.pump(Duration::from_secs(10)).unwrap(),
+//!     PushOutcome::Pushed { epoch, changes: 1 }
+//! );
 //! assert_eq!(replica.store().get(2), Some(20));
-//! assert_eq!(replica.stats().lag(), 0);
+//! assert_eq!(replica.applied_epoch(), epoch);
 //! primary.shutdown();
 //! ```
 //!
@@ -333,8 +334,8 @@
 //! whole once the log exceeds its byte cap, so
 //! [`restore_epoch`](pathcopy_durable::EpochLog::restore_epoch) offers
 //! point-in-time recovery over a bounded window. A cold replica can
-//! [seed from the log](pathcopy_replica::Replica::seed_from_log) with
-//! **zero** wire bytes and then converge via diffs.
+//! [seed from the log](pathcopy_replica::PushReplica::connect_seeded) with
+//! **zero** full-sync bytes and then converge via diffs.
 //!
 //! See it run: `cargo run --release --example durable_demo` (durable
 //! primary, simulated crash with a torn tail, recovery, point-in-time
@@ -395,7 +396,7 @@ pub mod prelude {
         RwLockUc, SeqUc, SetDiffEntry, SetSnapshot, Snapshottable, StatsSnapshot, Update,
         VersionCell,
     };
-    pub use pathcopy_replica::{Replica, ReplicaStatsSnapshot, SyncOutcome};
+    pub use pathcopy_replica::{PullStats, PushReplica, SyncOutcome};
     pub use pathcopy_trees::{
         avl::AvlMap, avl::AvlSet, list::PStack, pvec::PVec, queue::PQueue, rbtree::RbMap,
         rbtree::RbSet, ExternalBstSet, TreapMap as PersistentTreapMap,
