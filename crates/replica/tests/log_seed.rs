@@ -1,8 +1,9 @@
 //! Log-seeded replica bootstrap: a replica loads its store from the
-//! primary's durable epoch log with **zero** full-sync bytes — asserted
-//! via the client's exact `ByteCounters` accounting: the only traffic
-//! is one empty diff pull and the subscription — and then converges
-//! through the normal incremental diff path.
+//! primary's durable epoch log and the seed itself moves **zero** wire
+//! bytes — asserted via the client's exact `ByteCounters` accounting:
+//! the only traffic is one empty catch-up diff pull and the
+//! subscription, never a full sync — and then converges through the
+//! normal incremental diff path.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -48,7 +49,7 @@ fn framed(body: &[u8]) -> u64 {
 }
 
 #[test]
-fn log_seed_moves_zero_full_sync_bytes_then_converges_via_diffs() {
+fn log_seed_moves_zero_wire_bytes_then_converges_via_diffs() {
     let dir = scratch("zero-bytes");
     let (server, log) = logged_server(&dir);
     let mut writer = Client::connect(server.addr()).unwrap();
@@ -79,7 +80,7 @@ fn log_seed_moves_zero_full_sync_bytes_then_converges_via_diffs() {
     assert_eq!(
         wire.sent + wire.received,
         stats.diff_bytes + framed(&subscribe) + framed(&ack),
-        "log seeding moves only the catch-up pull and the subscription"
+        "the seed moves zero wire bytes: all traffic is the empty catch-up pull and the subscription"
     );
     assert_eq!(replica.store().get(7), Some(21), "seeded state is live");
 
@@ -110,12 +111,22 @@ fn log_seed_moves_zero_full_sync_bytes_then_converges_via_diffs() {
 }
 
 #[test]
-fn seeding_a_dirty_store_is_refused_and_an_empty_log_seeds_nothing() {
+fn seeding_a_synced_or_dirty_replica_is_refused() {
     let dir = scratch("refused");
     let (server, log) = logged_server(&dir);
     let mut writer = Client::connect(server.addr()).unwrap();
     writer.insert(1, 1).unwrap();
     writer.publish().unwrap();
+
+    // A store already synced over the wire: seeding would double-apply.
+    let synced =
+        PushReplica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
+    assert_eq!(synced.store().get(1), Some(1));
+    let err = PushReplica::connect_seeded(server.addr(), Box::new(synced.store()), &log)
+        .err()
+        .expect("a synced store is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(synced.store().len(), 1, "the synced store is untouched");
 
     // The store has local writes: seeding would mix them into the log's
     // state.
@@ -140,6 +151,7 @@ fn seeding_a_dirty_store_is_refused_and_an_empty_log_seeds_nothing() {
     assert_eq!(fresh.store().get(1), Some(1));
 
     drop(fresh);
+    drop(synced);
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&empty_dir).unwrap();
